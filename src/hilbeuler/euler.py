@@ -15,11 +15,14 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import RF0, RF1, RationalFunction1
+from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
 from .series import BiSeries, geometric, geometric_z1z2
-from .symfunc import schur_positive, to_finite_vars, to_p
-from .hall_littlewood import (b_norm_finite, expand_in_P, hl_P, k_exponent,
-                              multiply)
+from .symfunc import convert, schur_positive, to_finite_vars, to_p
+# perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
+# this module by name, so they stay imported here although only k_exponent
+# is called.
+from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
+                              pieri_e, z_bracket, z_multinomial)
 
 log = logging.getLogger(__name__)
 
@@ -281,6 +284,8 @@ class EulerResult:
 def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
     if n < 1:
         raise GuardError("n must be >= 1")
+    if order < 0:
+        raise GuardError("max degree must be >= 0")
     if n > MAX_N:
         raise GuardError("localization evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
@@ -390,6 +395,8 @@ def _delta_kernel(n, order, slack):
 def euler_constant_term(f, n, order, force=False):
     if n < 1:
         raise GuardError("n must be >= 1")
+    if order < 0:
+        raise GuardError("max degree must be >= 0")
     if n > MAX_N_CONSTANT_TERM and not force:
         raise GuardError("constant-term evaluator refuses n > %d "
                          "(pass force=True to override)" % MAX_N_CONSTANT_TERM)
@@ -437,34 +444,61 @@ def euler_constant_term(f, n, order, force=False):
 # ---------------------------------------------------------------------------
 # evaluator 3: the Hall-Littlewood summation formula
 
+def _e_times_P(rho, mu, n):
+    """e_rho * P_mu on the P_nu with len(nu) <= n: dict nu -> int poly."""
+    out = {mu: (1,)}
+    for r in rho:
+        nxt = {}
+        for lam, c in out.items():
+            for nu, cn in pieri_e(lam, r, n).items():
+                nxt[nu] = padd(nxt.get(nu, (0,)), pmul(c, cn))
+        out = nxt
+    return out
+
+
 def euler_theorem(f, n, order):
+    """The summation formula: the z2^m coefficient is
+    sum over mu |- m, nu of z1^(m + k(mu, nu)) <f P_mu, Q_nu> / b_{nu,n}.
+
+    f is written once in the e-basis, so every matrix element comes from
+    the e-Pieri rule as an integer polynomial. Over the common denominator
+    [n]_z1 each term is z1^shift * <e_rho P_mu, Q_nu> * [n]_z1 / b_{nu,n},
+    a Laurent polynomial with integer coefficients.
+    """
     if n < 1:
         raise GuardError("n must be >= 1")
+    if order < 0:
+        raise GuardError("max degree must be >= 0")
     if n > MAX_N:
         raise GuardError("theorem evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
-    fp = to_p(f)
-    degrees = fp.degrees() or [0]
+    fe = convert(to_p(f), "e")
+    den = z_bracket(n).num
     series = BiSeries(order)
     for m in range(order + 1):
+        # numerators per e_rho, each as z1-shift -> integer polynomial
+        nums = {rho: {} for rho in fe.c}
+        for mu in partitions_of(m, n):
+            shifts = {}
+            for rho, num in nums.items():
+                for nu, c in _e_times_P(rho, mu, n).items():
+                    shift = shifts.get(nu)
+                    if shift is None:
+                        shift = shifts[nu] = m + k_exponent(mu, nu)
+                        if shift < 0:
+                            log.debug("term-level negative z1 exponent %d at "
+                                      "mu=%r nu=%r", shift, mu, nu)
+                    num[shift] = padd(num.get(shift, (0,)),
+                                      pmul(c, z_multinomial(nu, n)))
         acc = RF0
-        for mu in partitions_of(m):
-            if len(mu) > n:
-                continue
-            pmu = hl_P(mu)
-            for d in degrees:
-                comp = fp.homogeneous(d)
-                if not comp:
-                    continue
-                for nu, c in expand_in_P(multiply(comp, pmu)).items():
-                    if len(nu) > n:
-                        continue
-                    shift = m + k_exponent(mu, nu)
-                    if shift < 0:
-                        log.debug("term-level negative z1 exponent %d at "
-                                  "mu=%r nu=%r", shift, mu, nu)
-                    acc = acc + (RationalFunction1.z_power(shift) * c
-                                 / b_norm_finite(nu, n))
+        for rho, num in nums.items():
+            lo = min(num, default=0)
+            poly = (0,)
+            for shift, p in num.items():
+                poly = padd(poly, (0,) * (shift - lo) + p)
+            term = RationalFunction1((0,) * max(lo, 0) + poly,
+                                     (0,) * max(-lo, 0) + den)
+            acc = acc + term * fe.c[rho]
         if not acc:
             continue
         if not acc.den[0]:
@@ -475,13 +509,6 @@ def euler_theorem(f, n, order):
             if v:
                 series.c[(a, m)] = v
     return EulerResult("theorem", series, n, order, time.monotonic() - t0)
-
-
-EVALUATORS = {
-    "localization": euler_localization,
-    "constant-term": euler_constant_term,
-    "theorem": euler_theorem,
-}
 
 
 def evaluate(method, f, n, order, convention=DEFAULT_CONVENTION):

@@ -1,15 +1,19 @@
 """Hall-Littlewood structural layer.
 
 Half vertex operators, Jing's vertex operator, the P/Q bases, norm factors,
-matrix elements of multiplication operators, Pieri coefficients, the
-k-exponent of the main summation formula, and its defining identity checker.
+matrix elements of multiplication operators, Pieri coefficients (the exact
+e-Pieri rule on partitions of bounded length among them), the k-exponent of
+the main summation formula, and its defining identity checker.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from types import MappingProxyType
 
-from .partitions import as_partition, conjugate, contains, partitions_of, zee
-from .ratfunc import RF0, RF1, RationalFunction1
+from .partitions import (as_partition, conjugate, contains, multiplicities,
+                         partitions_of, zee)
+from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
 from .symfunc import (DEGREE_BOUND, SymFunc, _check_degree, _merge, hl_inner,
                       multiply, to_p)
 
@@ -208,6 +212,68 @@ def b_norm_finite(lam, n):
     if len(lam) > n:
         raise ValueError("partition too long for n variables: %r" % (lam,))
     return b_norm(lam) * z_bracket(n - len(lam))
+
+
+def z_multinomial(lam, n):
+    """[n]_z / b_{lam,n}(z) as an integer coefficient tuple.
+
+    The multiplicities m_i(lam), m_0 = n - len(lam) included, sum to n, so
+    the quotient is the z-multinomial coefficient: a product of Gaussian
+    binomials, hence a polynomial.
+    """
+    out, left = (1,), n
+    for _, m in multiplicities(as_partition(lam), n):
+        out = pmul(out, gaussian_binomial(left, m))
+        left -= m
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the e-Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
+# III (3.2)), exact on partitions of length <= n
+
+@lru_cache(maxsize=None)
+def gaussian_binomial(a, b):
+    """[a ; b]_z as an integer coefficient tuple; (0,) unless 0 <= b <= a."""
+    if b < 0 or b > a:
+        return (0,)
+    if b == 0 or b == a:
+        return (1,)
+    # [a ; b] = [a-1 ; b-1] + z^b [a-1 ; b]
+    return padd(gaussian_binomial(a - 1, b - 1),
+                (0,) * b + gaussian_binomial(a - 1, b))
+
+
+@lru_cache(maxsize=None)
+def pieri_e(mu, r, n):
+    """e_r * P_mu on the P_lam with len(lam) <= n: dict lam -> coefficient.
+
+    lam runs over the vertical r-strips lam/mu. Each coefficient is the
+    integer polynomial prod_i [lam'_i - lam'_(i+1) ; lam'_i - mu'_i]_z, as a
+    coefficient tuple. Multiplying by e_r never shortens a partition, so
+    dropping lam with len(lam) > n before a further product is exact. The
+    result is cached, so it is returned as a read-only mapping.
+    """
+    mu = as_partition(mu)
+    if len(mu) > n:
+        return MappingProxyType({})
+    rows = mu + (0,) * (n - len(mu))
+    mc = conjugate(mu)
+    out = {}
+    for added in combinations(range(n), r):
+        lam = list(rows)
+        for i in added:
+            lam[i] += 1
+        if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+            continue
+        lam = tuple(p for p in lam if p)
+        lc = conjugate(lam) + (0,)
+        coef = (1,)
+        for i in range(len(lc) - 1):
+            grown = lc[i] - (mc[i] if i < len(mc) else 0)
+            coef = pmul(coef, gaussian_binomial(lc[i] - lc[i + 1], grown))
+        out[lam] = coef
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

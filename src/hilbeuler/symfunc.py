@@ -508,7 +508,7 @@ def schur_positive(f):
     """True if f is a nonnegative integer combination of Schur functions."""
     try:
         fs = convert(f, "s")
-    except Exception:
+    except DegreeBoundError:
         return False
     for v in fs.c.values():
         if not v.is_polynomial() or len(v.num) > 1:

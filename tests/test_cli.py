@@ -50,6 +50,15 @@ def test_chi_guard_error(capsys):
     assert err.startswith("error: guard:")
 
 
+def test_chi_negative_max_deg_is_a_guard_error(capsys):
+    for fmt in ("json", "pretty"):
+        code, out, err = run_cli(capsys, "chi", "--f", "s[1]", "--n", "2",
+                                 "--max-deg", "-1", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: guard:")
+
+
 def test_chi_csv(capsys):
     code, out, err = run_cli(capsys, "chi", "--f", "1", "--n", "1",
                              "--max-deg", "1", "--format", "csv")

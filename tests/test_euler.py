@@ -4,10 +4,13 @@ from hilbeuler.euler import (GuardError, VirtualCharacter,
                              WedgeSeries, cross_check, euler_constant_term,
                              euler_localization, euler_theorem, evaluate,
                              fixed_point_data, omega, partition_function)
+from hilbeuler.fexpr import parse, to_symfunc
+from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
+                                       k_exponent)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
-from hilbeuler.ratfunc import RF1, RationalFunction1
+from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.series import BiSeries, from_rf_product
-from hilbeuler.symfunc import SymFunc
+from hilbeuler.symfunc import SymFunc, multiply, to_p
 
 GEO = RF1 / RationalFunction1((1, -1))
 ONE = SymFunc.one()
@@ -145,6 +148,9 @@ def test_cross_check_report_fields():
 def test_guards():
     with pytest.raises(GuardError):
         euler_theorem(ONE, 7, 2)
+    for method in ("theorem", "localization", "constant-term"):
+        with pytest.raises(GuardError, match="max degree must be >= 0"):
+            evaluate(method, ONE, 2, -1)
     with pytest.raises(GuardError):
         euler_localization(ONE, 0, 2)
     with pytest.raises(GuardError):
@@ -169,3 +175,57 @@ def test_wedge_series_arithmetic():
     bad = WedgeSeries(D, {0: RF1 / RationalFunction1.z_power(1)})
     with pytest.raises(ArithmeticError):
         bad.to_biseries()
+
+
+# ---------------------------------------------------------------------------
+# the theorem evaluator against its vertex-operator oracle
+
+def theorem_by_vertex_operators(f, ns, order):
+    """The summation formula with <f P_mu, Q_nu> taken from expand_in_P of
+    f * P_mu (Jing's vertex operator, all partitions of each degree), and
+    the nu with len(nu) > n dropped afterwards. Returns n -> BiSeries; the
+    expansion of f * P_mu does not depend on n and is shared."""
+    fp = to_p(f)
+    expansions = {}
+    out = {}
+    for n in ns:
+        series = out[n] = BiSeries(order)
+        for m in range(order + 1):
+            acc = RF0
+            for mu in partitions_of(m, n):
+                if mu not in expansions:
+                    expansions[mu] = expand_in_P(multiply(fp, hl_P(mu)))
+                for nu, c in expansions[mu].items():
+                    if len(nu) > n:
+                        continue
+                    acc = acc + (RationalFunction1.z_power(
+                        m + k_exponent(mu, nu)) * c / b_norm_finite(nu, n))
+            if acc:
+                for a, v in enumerate(acc.expand(order)):
+                    if v:
+                        series.c[(a, m)] = v
+    return out
+
+
+def test_theorem_equals_vertex_operator_oracle():
+    D = 4
+    # e-coefficients: positive, mixed-sign, and rational in z1
+    for expr in ("s[2,1]", "p[2]-s[1,1]", "P[2,1]+2*Q[1]"):
+        f = to_symfunc(parse(expr))
+        for n, want in theorem_by_vertex_operators(f, (1, 2, 3), D).items():
+            for d in range(D + 1):
+                got = euler_theorem(f, n, d).series
+                assert all(got.coeff(a, b) == want.coeff(a, b)
+                           for a in range(d + 1) for b in range(d + 1)), \
+                    (expr, n, d)
+
+
+def test_theorem_equals_localization_beyond_degree_bound():
+    f = SymFunc.element("s", (2, 1))
+    assert (euler_theorem(f, 4, 9).series
+            == euler_localization(f, 4, 9).series)
+    # deg f + D = 15 exceeds DEGREE_BOUND, which caps deg f only
+    big = euler_theorem(f, 4, 12).series
+    assert big.is_nonneg_integral()
+    assert big.is_symmetric()
+    assert big.coeff(12, 12) > 0

@@ -5,10 +5,12 @@ import pytest
 from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
                                        ARG_X_ONE_MINUS_Z, LemmaCheck, b_norm,
                                        b_norm_finite, expand_in_P,
-                                       gamma_minus, gamma_plus, hl_P, hl_Q,
+                                       gamma_minus, gamma_plus,
+                                       gaussian_binomial, hl_P, hl_Q,
                                        hl_q_row, jing_J, k_exponent,
-                                       matrix_element, psi, verify_lemma,
-                                       z_bracket)
+                                       matrix_element, pieri_e, psi,
+                                       verify_lemma, z_bracket,
+                                       z_multinomial)
 from hilbeuler.partitions import partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import SymFunc, convert, hl_inner, multiply, to_p
@@ -207,3 +209,37 @@ def test_lemma():
             chk = verify_lemma(mu, nu)
             assert isinstance(chk, LemmaCheck)
             assert chk.ok, (mu, nu, str(chk.lhs), str(chk.rhs))
+
+
+# ---------------------------------------------------------------------------
+# the e-Pieri rule against the vertex-operator oracle
+
+def test_gaussian_binomial():
+    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
+    assert gaussian_binomial(3, 0) == gaussian_binomial(3, 3) == (1,)
+    assert gaussian_binomial(2, 3) == gaussian_binomial(2, -1) == (0,)
+    for a in range(7):
+        for b in range(a + 1):
+            want = z_bracket(a) / (z_bracket(b) * z_bracket(a - b))
+            assert RationalFunction1(gaussian_binomial(a, b)) == want
+
+
+def test_z_multinomial_is_n_bracket_over_b():
+    for lam in partitions_up_to(4):
+        for n in range(max(len(lam), 1), 6):
+            want = z_bracket(n) / b_norm_finite(lam, n)
+            assert RationalFunction1(z_multinomial(lam, n)) == want
+
+
+def test_pieri_e_equals_vertex_operator_oracle():
+    for mu in partitions_up_to(4):
+        for r in range(4):
+            e_r = SymFunc.element("e", (r,)) if r else SymFunc.one()
+            full = expand_in_P(multiply(e_r, hl_P(mu)))
+            for n in {len(mu), len(mu) + 1, 6}:
+                got = pieri_e(mu, r, n)
+                for coef in got.values():
+                    assert all(type(c) is int for c in coef), (mu, r, coef)
+                want = {lam: v for lam, v in full.items() if len(lam) <= n}
+                assert {lam: RationalFunction1(c)
+                        for lam, c in got.items()} == want, (mu, r, n)
