@@ -15,12 +15,14 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
+from .ratfunc import RF0, RationalFunction1, padd, pmul, rf_expand
 from .series import BiSeries, geometric, geometric_z1z2
 from .symfunc import convert, schur_positive, to_finite_vars, to_p
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
 # this module by name, so they stay imported here although only k_exponent
-# is called.
+# is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
+# the three evaluators and _delta_kernel by name; euler_localization calls
+# the first three through those names, so a traced run counts them.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
                               pieri_e, z_bracket, z_multinomial)
 
@@ -96,120 +98,109 @@ class VirtualCharacter:
 
 # ---------------------------------------------------------------------------
 # wedge expansion: iterated Laurent series, z2 outermost
-
-def _is_small(p, q):
-    """Wedge rule: a monomial is expanded geometrically iff it is 'small'."""
-    return q > 0 or (q == 0 and p > 0)
-
+#
+# Every denominator a wedge factor creates is a product of (1 - z1^k), so a
+# wedge series keeps integer Laurent polynomials in z1 over one such product.
+# Products convolve numerators and concatenate denominators; no polynomial
+# gcd is taken, and each numerator is expanded only at the end.
 
 class WedgeSeries:
-    """Truncated series in z2 whose coefficients are exact z1 rationals."""
+    """Truncated series sum_b z2^b c_b(z1) / prod_{k in den} (1 - z1^k).
 
-    __slots__ = ("order", "c")
+    c maps a z2-degree 0 <= b <= order to an integer Laurent polynomial,
+    a dict z1-exponent -> nonzero int; den is a sorted tuple of positive k.
+    """
 
-    def __init__(self, order, coeffs=None):
+    __slots__ = ("order", "c", "den")
+
+    def __init__(self, order, coeffs=None, den=()):
         self.order = order
         self.c = {}
-        if coeffs:
-            for b, v in coeffs.items():
-                if 0 <= b <= order and v:
-                    self.c[b] = v
-
-    @classmethod
-    def const(cls, order, rf):
-        if not isinstance(rf, RationalFunction1):
-            rf = RationalFunction1.const(rf)
-        return cls(order, {0: rf})
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for b, v in other.c.items():
-            nv = out.get(b, RF0) + v
-            if nv:
-                out[b] = nv
-            else:
-                out.pop(b, None)
-        r = WedgeSeries(self.order)
-        r.c = out
-        return r
+        for b, num in (coeffs or {}).items():
+            num = {e: v for e, v in num.items() if v}
+            if 0 <= b <= order and num:
+                self.c[b] = num
+        self.den = tuple(sorted(den))
 
     def __mul__(self, other):
         D = self.order
         out = {}
-        for b1, v1 in self.c.items():
-            for b2, v2 in other.c.items():
+        for b1, x in self.c.items():
+            for b2, y in other.c.items():
                 b = b1 + b2
                 if b > D:
                     continue
-                nv = out.get(b, RF0) + v1 * v2
-                if nv:
-                    out[b] = nv
-                else:
-                    out.pop(b, None)
-        r = WedgeSeries(D)
-        r.c = out
-        return r
+                acc = out.setdefault(b, {})
+                for e1, v1 in x.items():
+                    for e2, v2 in y.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+        return WedgeSeries(D, out, self.den + other.den)
 
-    def scale(self, rf):
-        r = WedgeSeries(self.order)
-        for b, v in self.c.items():
-            nv = v * rf
-            if nv:
-                r.c[b] = nv
-        return r
+    def expand(self, hi):
+        """Laurent coefficients {(a, b): int} for a <= hi: each numerator
+        times the power series of 1/den, from its lowest z1 exponent."""
+        out = {}
+        for b, num in self.c.items():
+            lo = min(num)
+            if lo > hi:
+                continue
+            row = [0] * (hi - lo + 1)
+            for e, v in num.items():
+                if e <= hi:
+                    row[e - lo] = v
+            for k in self.den:
+                for i in range(k, len(row)):
+                    row[i] += row[i - k]
+            for i, v in enumerate(row):
+                if v:
+                    out[(lo + i, b)] = v
+        return out
 
     def to_biseries(self):
-        """Expand every z2-coefficient in z1; each must be holomorphic at 0."""
-        D = self.order
-        out = BiSeries(D)
-        for b, rf in self.c.items():
-            if not rf.den[0]:
-                raise ArithmeticError(
-                    "z2-coefficient of degree %d is not holomorphic at z1=0: "
-                    "%s" % (b, rf))
-            for a, v in enumerate(rf.expand(D)):
-                if v:
-                    out.c[(a, b)] = v
-        return out
+        """Expand in z1; every z2-coefficient must be holomorphic at 0."""
+        return _holomorphic_part(self.expand(self.order), self.order)
+
+
+def _holomorphic_part(coeffs, order):
+    """BiSeries of Laurent coefficients {(a, b): value} that vanish at a < 0."""
+    coeffs = {key: v for key, v in coeffs.items() if v}
+    poles = sorted((b, a) for a, b in coeffs if a < 0)
+    if poles:
+        b, a = poles[0]
+        raise ArithmeticError(
+            "z2-coefficient of degree %d is not holomorphic at z1=0: "
+            "z1^%d has coefficient %s" % (b, a, coeffs[(a, b)]))
+    return BiSeries(order, coeffs)
 
 
 def _wedge_inverse_factor(p, q, order):
-    """(1 - z1^p z2^q)^(-1) expanded by the wedge rule."""
+    """(1 - z1^p z2^q)^(-1) expanded by the wedge rule: geometrically in
+    the monomial if it is 'small' (q > 0, or q = 0 < p), else in its
+    inverse."""
     if (p, q) == (0, 0):
         raise ValueError("plethystic exponential undefined at the trivial "
                          "monomial")
-    ws = WedgeSeries(order)
-    if _is_small(p, q):
-        if q == 0:
-            # 1/(1 - z1^p), p > 0: exact rational coefficient in degree 0
-            ws.c[0] = RF1 / (RF1 - RationalFunction1.z_power(p))
-        else:
-            for k in range(order // q + 1):
-                ws.c[k * q] = ws.c.get(k * q, RF0) + RationalFunction1.z_power(k * p)
-    else:
-        # large: (1 - m)^{-1} = -sum_{k>=1} m^{-k}
-        if q == 0:
-            # p < 0: -z1^{-p} / (1 - z1^{-p})
-            zp = RationalFunction1.z_power(-p)
-            ws.c[0] = -zp / (RF1 - zp)
-        else:
-            k = 1
-            while -k * q <= order:
-                ws.c[-k * q] = ws.c.get(-k * q, RF0) - RationalFunction1.z_power(-k * p)
-                k += 1
-    return ws
+    if q == 0:
+        # 1/(1 - z1^p) for p > 0; for p < 0, -z1^{-p} / (1 - z1^{-p})
+        return WedgeSeries(order, {0: {0: 1} if p > 0 else {-p: -1}},
+                           (abs(p),))
+    if q > 0:
+        return WedgeSeries(order, {k * q: {k * p: 1}
+                                   for k in range(order // q + 1)})
+    # large: (1 - m)^{-1} = -sum_{k>=1} m^{-k}
+    return WedgeSeries(order, {-k * q: {-k * p: -1}
+                               for k in range(1, order // -q + 1)})
 
 
 def _wedge_poly_factor(p, q, order):
     """(1 - z1^p z2^q) as a wedge series (needs q >= 0)."""
     if q < 0:
         raise ValueError("cannot store z2-negative polynomial factor")
-    ws = WedgeSeries(order, {0: RF1})
+    c = {0: {0: 1}}
     if q <= order:
-        ws.c[q] = ws.c.get(q, RF0) - RationalFunction1.z_power(p)
-        if not ws.c[q]:
-            del ws.c[q]
-    return ws
+        num = c.setdefault(q, {})
+        num[p] = num.get(p, 0) - 1
+    return WedgeSeries(order, c)
 
 
 def omega(char, order):
@@ -218,20 +209,27 @@ def omega(char, order):
     Product over monomials m with multiplicity c of (1 - m)^(-c), each
     factor expanded by the wedge rule (z2 outermost).
     """
-    out = WedgeSeries.const(order, RF1)
+    out = WedgeSeries(order, {0: {0: 1}})
     for (p, q), mult in char.items_sorted():
         if (p, q) == (0, 0):
             raise ValueError("plethystic exponential undefined at the "
                              "trivial monomial")
         if mult > 0:
             f = _wedge_inverse_factor(p, q, order)
-            for _ in range(mult):
-                out = out * f
         else:
             f = _wedge_poly_factor(p, q, order)
-            for _ in range(-mult):
-                out = out * f
+        for _ in range(abs(mult)):
+            out = out * f
     return out
+
+
+def _power_sum(char, k, order):
+    """p_k of a character with nonnegative z2 powers, as a wedge series."""
+    c = {}
+    for (p, q), mult in char.c.items():
+        num = c.setdefault(k * q, {})
+        num[k * p] = num.get(k * p, 0) + mult
+    return WedgeSeries(order, c)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,20 @@ class EulerResult:
 # ---------------------------------------------------------------------------
 # evaluator 1: fixed-point localization
 
+def _z_valuation(r):
+    """The power of z1 that divides the nonzero rational function r."""
+    return (next(i for i, v in enumerate(r.num) if v)
+            - next(i for i, v in enumerate(r.den) if v))
+
+
 def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
+    """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
+
+    With f = sum c_lam p_lam, each p_lam part is summed over mu in integers
+    (every fixed point's numerator expanded once over its own
+    prod (1 - z1^k)), and only then multiplied by the Laurent expansion of
+    c_lam, which is a rational function of z1 for P/Q atoms.
+    """
     if n < 1:
         raise GuardError("n must be >= 1")
     if order < 0:
@@ -290,24 +301,33 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
         raise GuardError("localization evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
     fp = to_p(f)
-    total = WedgeSeries(order)
+    shifts = {lam: _z_valuation(c) for lam, c in fp.c.items()}
+    sums = {lam: {} for lam in fp.c}
     for mu in partitions_of(n):
         data = fixed_point_data(mu, convention)
-        feval = WedgeSeries(order)
-        for lam, coef in fp.c.items():
-            term = WedgeSeries.const(order, RF1)
+        om = omega(data.cotangent_char, order)
+        for lam, acc in sums.items():
+            term = om
             for k in lam:
-                pk = WedgeSeries(order)
-                for (p, q), mult in data.taut_char.c.items():
-                    b = k * q
-                    if b > order:
-                        continue
-                    pk.c[b] = (pk.c.get(b, RF0)
-                               + RationalFunction1.z_power(k * p) * mult)
-                term = term * pk
-            feval = feval + term.scale(coef)
-        total = total + feval * omega(data.cotangent_char, order)
-    series = total.to_biseries()
+                term = term * _power_sum(data.taut_char, k, order)
+            for key, v in term.expand(order - shifts[lam]).items():
+                acc[key] = acc.get(key, 0) + v
+    total = {}
+    for lam, acc in sums.items():
+        acc = {key: v for key, v in acc.items() if v}
+        if not acc:
+            continue
+        # c_lam = z1^s * r with r regular and expanded once at z1 = 0
+        s, c = shifts[lam], fp.c[lam]
+        lo = min(a for a, _ in acc)
+        r = rf_expand(RationalFunction1(c.num[max(s, 0):], c.den[max(-s, 0):]),
+                      order - s - lo)
+        for (a, b), v in acc.items():
+            for i, w in enumerate(r[:order - s - a + 1]):
+                if w:
+                    key = (a + s + i, b)
+                    total[key] = total.get(key, 0) + v * w
+    series = _holomorphic_part(total, order)
     return EulerResult("localization", series, n, order,
                        time.monotonic() - t0, convention)
 

@@ -25,14 +25,8 @@ from .symfunc import (DEGREE_BOUND, SymFunc, _check_degree, _merge, hl_inner,
 # substitutes x -> x^k and z -> z^k in every monomial.
 
 ARG_ONE = ((0, RF1),)
-ARG_X = ((1, RF1),)
-ARG_X_INV = ((-1, RF1),)
 ARG_X_ONE_MINUS_Z = ((1, RationalFunction1((1, -1))),)  # x*(1-z)
 ARG_INV_ONE_MINUS_Z = ((0, RF1 / RationalFunction1((1, -1))),)  # (1-z)^{-1}
-
-
-def arg_scale(arg, c):
-    return tuple((e, coef * c) for e, coef in arg)
 
 
 def adams(arg, k):

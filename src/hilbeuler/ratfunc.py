@@ -33,10 +33,6 @@ def pneg(a):
     return tuple(-c for c in a)
 
 
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
 def pmul(a, b):
     if pis_zero(a) or pis_zero(b):
         return (0,)
@@ -48,10 +44,6 @@ def pmul(a, b):
             if cb:
                 out[i + j] += ca * cb
     return ptrim(out)
-
-
-def pscale(a, c):
-    return ptrim([c * x for x in a])
 
 
 def pdegree(p):

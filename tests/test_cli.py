@@ -1,5 +1,6 @@
 import json
 
+from hilbeuler import euler
 from hilbeuler.cli import main, symfunc_str
 from hilbeuler.symfunc import SymFunc, convert
 from hilbeuler.hall_littlewood import hl_P
@@ -35,6 +36,28 @@ def test_chi_all_methods_json(capsys):
     coeffs = doc["coefficients"]
     assert coeffs == sorted(coeffs, key=lambda r: (r[0], r[1]))
     assert all(int(v) >= 0 for _, _, v in coeffs)
+
+
+def test_chi_all_reports_mismatches_on_stderr(capsys, monkeypatch):
+    argv = ("chi", "--f", "s[2]", "--n", "2", "--max-deg", "3",
+            "--method", "all", "--format", "json")
+    _, good, _ = run_cli(capsys, *argv)
+    localization = euler.euler_localization
+    want = localization(SymFunc.element("s", (2,)), 2, 3).series.coeff(1, 2)
+
+    def off_by_one(*args):
+        res = localization(*args)
+        res.series.c[(1, 2)] += 1
+        return res
+
+    monkeypatch.setattr(euler, "euler_localization", off_by_one)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    # the table is the theorem's; only the agreement flag changes
+    assert out == good.replace('"agreement":true', '"agreement":false')
+    assert err.splitlines() == [
+        "mismatch at z1^1 z2^2: theorem=%s localization=%s"
+        % (want, want + 1)]
 
 
 def test_chi_parse_error(capsys):

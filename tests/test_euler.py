@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
+import localization_by_rational_functions as oracle
 from hilbeuler.euler import (GuardError, VirtualCharacter,
-                             WedgeSeries, cross_check, euler_constant_term,
-                             euler_localization, euler_theorem, evaluate,
-                             fixed_point_data, omega, partition_function)
+                             WedgeSeries, _wedge_inverse_factor,
+                             _wedge_poly_factor, _z_valuation, cross_check,
+                             euler_constant_term, euler_localization,
+                             euler_theorem, evaluate, fixed_point_data, omega,
+                             partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
                                        k_exponent)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
-from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
+from hilbeuler.ratfunc import RF0, RF1, RationalFunction1, rf_expand
 from hilbeuler.series import BiSeries, from_rf_product
 from hilbeuler.symfunc import SymFunc, multiply, to_p
 
@@ -36,15 +41,29 @@ def test_omega_large_monomial():
     # (z2 outermost), so (1-m)^{-1} = -sum_{k>=1} m^{-k} =
     # -sum_{k>=1} z1^{-k} z2^{k}: singular z1-coefficients in positive
     # z2-degrees
-    ws = omega(VirtualCharacter({(1, -1): 1}), 4)
+    ws = oracle.omega(VirtualCharacter({(1, -1): 1}), 4)
     assert ws.c == {k: -RationalFunction1.z_power(-k) for k in range(1, 5)}
     # unpaired, the singularity at z1 = 0 survives and finalization refuses
     with pytest.raises(ArithmeticError):
         ws.to_biseries()
     # q = 0 with negative z1 power is also 'large':
     # (1 - z1^{-1})^{-1} = -z1/(1 - z1)
-    ws0 = omega(VirtualCharacter({(-1, 0): 1}), 4)
+    ws0 = oracle.omega(VirtualCharacter({(-1, 0): 1}), 4)
     assert ws0.c == {0: -RationalFunction1((0, 1), (1, -1))}
+
+
+def test_omega_large_monomial_laurent_numerators():
+    # the same factors as integer Laurent numerators over prod (1 - z1^k)
+    ws = omega(VirtualCharacter({(1, -1): 1}), 4)
+    assert ws.c == {k: {-k: -1} for k in range(1, 5)}
+    assert ws.den == ()
+    with pytest.raises(ArithmeticError,
+                       match="z2-coefficient of degree 1 is not holomorphic "
+                             "at z1=0"):
+        ws.to_biseries()
+    ws0 = omega(VirtualCharacter({(-1, 0): 1}), 4)
+    assert ws0.c == {0: {1: -1}}
+    assert ws0.den == (1,)
 
 
 def test_omega_rejects_trivial_monomial():
@@ -168,13 +187,69 @@ def test_constant_term_force_override():
 
 def test_wedge_series_arithmetic():
     D = 3
-    a = WedgeSeries(D, {0: RF1, 1: RationalFunction1.z_power(1)})
-    b = WedgeSeries(D, {2: RF1})
+    a = oracle.WedgeSeries(D, {0: RF1, 1: RationalFunction1.z_power(1)})
+    b = oracle.WedgeSeries(D, {2: RF1})
     assert (a * b).c == {2: RF1, 3: RationalFunction1.z_power(1)}
     assert (a + b).c == {0: RF1, 1: RationalFunction1.z_power(1), 2: RF1}
-    bad = WedgeSeries(D, {0: RF1 / RationalFunction1.z_power(1)})
+    bad = oracle.WedgeSeries(D, {0: RF1 / RationalFunction1.z_power(1)})
     with pytest.raises(ArithmeticError):
         bad.to_biseries()
+
+
+def test_wedge_series_laurent_arithmetic():
+    D = 3
+    a = WedgeSeries(D, {0: {0: 1}, 1: {1: 1}})
+    b = WedgeSeries(D, {2: {0: 1}}, (2,))
+    ab = a * b
+    assert ab.c == {2: {0: 1}, 3: {1: 1}}
+    assert ab.den == (2,)
+    # 1/(1 - z1^2) in z2-degree 2, z1/(1 - z1^2) in z2-degree 3
+    assert ab.expand(3) == {(0, 2): 1, (2, 2): 1, (1, 3): 1, (3, 3): 1}
+    # numerators cancel without normalisation and zeros are dropped
+    assert (WedgeSeries(D, {0: {0: 1, 1: 1}})
+            * WedgeSeries(D, {0: {0: 1, 1: -1}})).c == {0: {0: 1, 2: -1}}
+    bad = WedgeSeries(D, {0: {-1: 1}})
+    with pytest.raises(ArithmeticError):
+        bad.to_biseries()
+
+
+def _rf_laurent(ws, hi):
+    """Laurent coefficients {(a, b): value}, a <= hi, of a wedge series of
+    the rational-function oracle."""
+    out = {}
+    for b, rf in ws.c.items():
+        s = _z_valuation(rf)
+        r = RationalFunction1(rf.num[max(s, 0):], rf.den[max(-s, 0):])
+        for i, v in enumerate(rf_expand(r, hi - s)):
+            if v:
+                out[(s + i, b)] = v
+    return out
+
+
+def test_wedge_products_equal_rational_function_products():
+    # random products of wedge factors (p, q, mult), in both representations
+    rng = random.Random(2012)
+    for _ in range(60):
+        D = rng.randint(0, 5)
+        new = WedgeSeries(D, {0: {0: 1}})
+        old = oracle.WedgeSeries.const(D, RF1)
+        count, factors = rng.randint(1, 5), []
+        while len(factors) < count:
+            p, q = rng.randint(-3, 3), rng.randint(-2, 3)
+            mult = rng.choice((1, 1, 2, -1, -2))
+            if (p, q) == (0, 0) or (mult < 0 and q < 0):
+                continue
+            factors.append((p, q, mult))
+            if mult > 0:
+                fn = _wedge_inverse_factor(p, q, D)
+                fo = oracle.wedge_inverse_factor(p, q, D)
+            else:
+                fn = _wedge_poly_factor(p, q, D)
+                fo = oracle.wedge_poly_factor(p, q, D)
+            for _ in range(abs(mult)):
+                new, old = new * fn, old * fo
+        for hi in (D, D + 3):
+            assert new.expand(hi) == _rf_laurent(old, hi), (D, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +304,28 @@ def test_theorem_equals_localization_beyond_degree_bound():
     assert big.is_nonneg_integral()
     assert big.is_symmetric()
     assert big.coeff(12, 12) > 0
+
+
+# ---------------------------------------------------------------------------
+# localization against its rational-function oracle
+
+def test_localization_equals_rational_function_oracle():
+    D = 5
+    cases = [(expr, n) for expr in ("s[2,1]", "p[2]-s[1,1]", "P[2,1]+2*Q[1]",
+                                    "0", "1") for n in (1, 2, 3)]
+    cases += [("s[2,1]", 4), ("P[2,1]+2*Q[1]", 4)]
+    for expr, n in cases:
+        f = to_symfunc(parse(expr))
+        for convention in ("row", "col"):
+            want = oracle.localization_by_rational_functions(f, n, D,
+                                                             convention)
+            for d in range(D + 1):
+                got = euler_localization(f, n, d, convention).series
+                assert got == BiSeries(d, want.c), (expr, n, d, convention)
+
+
+def test_localization_equals_theorem_at_n6_D12():
+    for expr in ("s[2,1]", "P[2,1]+2*Q[1]"):
+        f = to_symfunc(parse(expr))
+        assert (euler_localization(f, 6, 12).series
+                == euler_theorem(f, 6, 12).series), expr
