@@ -1,6 +1,7 @@
 """Exact equivariant Euler characteristics of tautological classes on
 Hilbert schemes of points in the plane, computed by three independent
-methods over exact rational-function arithmetic."""
+methods in exact arithmetic: integer Laurent tables per basis element of f,
+with f's rational-function coefficients multiplied in at the end."""
 
 from .partitions import (arm_leg, cells, conjugate, partitions_of,
                          partitions_up_to, zee)

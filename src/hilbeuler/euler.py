@@ -1,30 +1,32 @@
 """Equivariant Euler characteristics of tautological classes, three ways.
 
-The evaluators share exact arithmetic but nothing else: fixed-point
+The evaluators are independent up to their last step: fixed-point
 localization (iterated Laurent expansion, z2 outermost), the quiver
-constant-term formula (nonnegative-orthant pairing), and the Hall-Littlewood
-summation formula. A cross-check driver compares them coefficient by
-coefficient.
+constant-term formula (nonnegative-orthant pairing), and the
+Hall-Littlewood summation formula. Each reduces every basis element of f to
+an integer Laurent table in z1, z2; `_apply_coefficients` then multiplies in
+f's coefficients, which are rational in z1. A cross-check driver compares
+the three coefficient by coefficient.
 """
 
 import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import RF0, RationalFunction1, padd, pmul, rf_expand
-from .series import BiSeries, geometric, geometric_z1z2
-from .symfunc import convert, schur_positive, to_finite_vars, to_p
+from .ratfunc import RationalFunction1, padd, pmul, rf_expand
+from .series import BiSeries, geometric
+from .symfunc import convert, schur_positive, to_p
+from .xlaurent import XLaurent
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
 # this module by name, so they stay imported here although only k_exponent
 # is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
 # the three evaluators and _delta_kernel by name; euler_localization calls
 # the first three through those names, so a traced run counts them.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
-                              pieri_e, z_bracket, z_multinomial)
+                              pieri_e, z_multinomial)
 
 log = logging.getLogger(__name__)
 
@@ -277,7 +279,7 @@ class EulerResult:
 
 
 # ---------------------------------------------------------------------------
-# evaluator 1: fixed-point localization
+# f's coefficients, applied once for every evaluator
 
 def _z_valuation(r):
     """The power of z1 that divides the nonzero rational function r."""
@@ -285,13 +287,43 @@ def _z_valuation(r):
             - next(i for i, v in enumerate(r.den) if v))
 
 
+def _apply_coefficients(tables, coeffs, order):
+    """BiSeries of sum over lam of coeffs[lam] * tables[lam].
+
+    Each table is {(a, b): int}, a Laurent table in z1 that must be exact
+    for a <= order - v, where v is the z1-valuation of coeffs[lam], a
+    rational function of z1. Each coefficient is expanded once at z1 = 0,
+    and the sum must be holomorphic there.
+    """
+    total = {}
+    for lam, table in tables.items():
+        table = {key: v for key, v in table.items() if v}
+        if not table:
+            continue
+        # c = z1^s * r with r regular and expanded once at z1 = 0
+        c = coeffs[lam]
+        s = _z_valuation(c)
+        lo = min(a for a, _ in table)
+        r = rf_expand(RationalFunction1(c.num[max(s, 0):], c.den[max(-s, 0):]),
+                      order - s - lo)
+        for (a, b), v in table.items():
+            for i, w in enumerate(r[:order - s - a + 1]):
+                if w:
+                    key = (a + s + i, b)
+                    total[key] = total.get(key, 0) + v * w
+    return _holomorphic_part(total, order)
+
+
+# ---------------------------------------------------------------------------
+# evaluator 1: fixed-point localization
+
 def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
     """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
 
     With f = sum c_lam p_lam, each p_lam part is summed over mu in integers
     (every fixed point's numerator expanded once over its own
-    prod (1 - z1^k)), and only then multiplied by the Laurent expansion of
-    c_lam, which is a rational function of z1 for P/Q atoms.
+    prod (1 - z1^k)); `_apply_coefficients` then multiplies in c_lam, which
+    is a rational function of z1 for P/Q atoms.
     """
     if n < 1:
         raise GuardError("n must be >= 1")
@@ -312,22 +344,7 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
                 term = term * _power_sum(data.taut_char, k, order)
             for key, v in term.expand(order - shifts[lam]).items():
                 acc[key] = acc.get(key, 0) + v
-    total = {}
-    for lam, acc in sums.items():
-        acc = {key: v for key, v in acc.items() if v}
-        if not acc:
-            continue
-        # c_lam = z1^s * r with r regular and expanded once at z1 = 0
-        s, c = shifts[lam], fp.c[lam]
-        lo = min(a for a, _ in acc)
-        r = rf_expand(RationalFunction1(c.num[max(s, 0):], c.den[max(-s, 0):]),
-                      order - s - lo)
-        for (a, b), v in acc.items():
-            for i, w in enumerate(r[:order - s - a + 1]):
-                if w:
-                    key = (a + s + i, b)
-                    total[key] = total.get(key, 0) + v * w
-    series = _holomorphic_part(total, order)
+    series = _apply_coefficients(sums, fp.c, order)
     return EulerResult("localization", series, n, order,
                        time.monotonic() - t0, convention)
 
@@ -341,122 +358,84 @@ def _pair_kernel(order):
 
     (1-u)(1-1/u)(1-z1z2*u)(1-z1z2/u) / ((1-z1*u)(1-z1/u)(1-z2*u)(1-z2/u))
 
-    with the z-geometric factors truncated at the window order. Returns a
-    dict u-exponent -> BiSeries.
+    as an XLaurent in u with BiSeries coefficients, each z-geometric factor
+    truncated at the window order.
     """
     one = BiSeries.const(order, 1)
-    z1z2 = BiSeries.monomial(order, 1, 1)
-    factors = [
-        {0: one, 1: -one},
-        {0: one, -1: -one},
-        {0: one, 1: -z1z2},
-        {0: one, -1: -z1z2},
-    ]
-    for axis in (1, 2):
-        up, down = {}, {}
-        for k in range(order + 1):
-            mono = BiSeries.monomial(order, k, 0) if axis == 1 \
-                else BiSeries.monomial(order, 0, k)
-            up[k] = mono
-            down[-k] = down.get(-k, BiSeries(order)) + mono
-        factors.append(up)
-        factors.append(down)
-    acc = {0: one}
-    for fac in factors:
-        nxt = {}
-        for m1, b1 in acc.items():
-            for m2, b2 in fac.items():
-                prod = b1 * b2
-                if not prod:
-                    continue
-                m = m1 + m2
-                cur = nxt.get(m)
-                nv = prod if cur is None else cur + prod
-                if nv:
-                    nxt[m] = nv
-                else:
-                    nxt.pop(m, None)
-        acc = nxt
+    acc = XLaurent.const(1, one)
+    for c in (one, BiSeries.monomial(order, 1, 1)):
+        for u in (1, -1):
+            acc = acc * XLaurent(1, {(0,): one, (u,): -c})
+    for a, b in ((1, 0), (0, 1)):
+        for u in (1, -1):
+            acc = acc * XLaurent(1, {(u * k,): BiSeries.monomial(order, a * k,
+                                                                 b * k)
+                                     for k in range(order + 1)})
     return acc
 
 
 @lru_cache(maxsize=None)
 def _delta_kernel(n, order, slack):
-    """Product of pair kernels over all unordered variable pairs, as a dict
-    exponent-vector -> BiSeries. Entries that cannot be raised back into the
-    nonnegative orthant within the remaining budget are dropped."""
-    pk = _pair_kernel(order)
-    acc = {(0,) * n: BiSeries.const(order, 1)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for pi, (i, j) in enumerate(pairs):
-        last = pi == len(pairs) - 1
-        nxt = {}
-        for v, bs in acc.items():
-            for m, km in pk.items():
-                prod = bs * km
-                if not prod:
-                    continue
-                w = list(v)
-                w[i] += m
-                w[j] -= m
-                w = tuple(w)
-                if last and sum(-x for x in w if x < 0) > order + slack:
-                    continue
-                cur = nxt.get(w)
-                nv = prod if cur is None else cur + prod
-                if nv:
-                    nxt[w] = nv
-                else:
-                    nxt.pop(w, None)
-        acc = nxt
-    return acc
+    """Product of pair kernels over all unordered variable pairs, as an
+    XLaurent in x_1..x_n with BiSeries coefficients. Entries that cannot be
+    raised back into the nonnegative orthant within the remaining budget
+    are dropped."""
+    acc = XLaurent.const(n, BiSeries.const(order, 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = {}
+            for (m,), bs in _pair_kernel(order).c.items():
+                w = [0] * n
+                w[i], w[j] = m, -m
+                pair[tuple(w)] = bs
+            acc = acc * XLaurent(n, pair)
+    return XLaurent(n, {w: bs for w, bs in acc.c.items()
+                        if sum(-x for x in w if x < 0) <= order + slack})
+
+
+def _p_in_x(lam, n):
+    """p_lam(x_1..x_n) as an XLaurent with integer coefficients."""
+    out = XLaurent.const(n, 1)
+    for k in lam:
+        out = out * XLaurent(n, {tuple(k if j == i else 0 for j in range(n)): 1
+                                 for i in range(n)})
+    return out
 
 
 def euler_constant_term(f, n, order, force=False):
+    """Pair the delta kernel times f(x_1..x_n) against Omega(1/X).
+
+    For each p_lam of f the kernel times p_lam(x_1..x_n) is summed over the
+    nonnegative orthant in integers, with the Omega(z1z2 X) factor
+    supplying the monomials that raise exponents into it;
+    `_apply_coefficients` then multiplies in c_lam / n!.
+    """
     if n < 1:
         raise GuardError("n must be >= 1")
     if order < 0:
         raise GuardError("max degree must be >= 0")
     if n > MAX_N_CONSTANT_TERM and not force:
-        raise GuardError("constant-term evaluator refuses n > %d "
-                         "(pass force=True to override)" % MAX_N_CONSTANT_TERM)
+        raise GuardError("constant-term evaluator refuses n > %d (only the "
+                         "API can override: euler_constant_term(..., "
+                         "force=True))" % MAX_N_CONSTANT_TERM)
     if n > MAX_N:
         raise GuardError("constant-term evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
     fp = to_p(f)
-    degf = fp.degree()
-    fx = to_finite_vars(fp, n)
-    kern = _delta_kernel(n, order, degf)
-    # multiply in f(X), whose coefficients are rationals in z1
-    prod = {}
-    for v, bs in kern.items():
-        for w, rf in fx.c.items():
-            coef = BiSeries(order)
-            for a, cv in enumerate(rf.expand(order)):
-                if cv:
-                    coef.c[(a, 0)] = cv
-            term = bs * coef
-            if not term:
-                continue
-            key = tuple(a + b for a, b in zip(v, w))
-            cur = prod.get(key)
-            nv = term if cur is None else cur + term
-            if nv:
-                prod[key] = nv
-            else:
-                prod.pop(key, None)
-    # pair against Omega(1/X): sum over the nonnegative orthant, with the
-    # Omega(z1z2 X) factor supplying the monomials that raise exponents
-    shifted = BiSeries(order)
-    for v, bs in prod.items():
-        raise_cost = sum(-x for x in v if x < 0)
-        if raise_cost > order:
-            continue
-        shifted = shifted + bs.shift(raise_cost, raise_cost)
-    total = shifted * (geometric_z1z2(order) ** n)
-    prefactor = ((BiSeries.const(order, 1) - BiSeries.monomial(order, 1, 1))
-                 * geometric(order, 1) * geometric(order, 2)) ** n
-    series = total * prefactor * Fraction(1, factorial(n))
+    kern = _delta_kernel(n, order, fp.degree())
+    tables = {}
+    for lam in fp.c:
+        shifted = BiSeries(order)
+        for v, bs in (kern * _p_in_x(lam, n)).c.items():
+            raise_cost = sum(-x for x in v if x < 0)
+            if raise_cost <= order:
+                shifted = shifted + bs.shift(raise_cost, raise_cost)
+        tables[lam] = shifted.c
+    coeffs = {lam: c / factorial(n) for lam, c in fp.c.items()}
+    # Omega(z1z2 X) times (1 - z1z2)^n is exactly 1 in the window, so only
+    # 1/((1 - z1)(1 - z2))^n is left to multiply in
+    prefactor = (geometric(order, 1) * geometric(order, 2)) ** n
+    series = _apply_coefficients(tables, coeffs, order) * prefactor
     return EulerResult("constant-term", series, n, order,
                        time.monotonic() - t0)
 
@@ -483,7 +462,9 @@ def euler_theorem(f, n, order):
     f is written once in the e-basis, so every matrix element comes from
     the e-Pieri rule as an integer polynomial. Over the common denominator
     [n]_z1 each term is z1^shift * <e_rho P_mu, Q_nu> * [n]_z1 / b_{nu,n},
-    a Laurent polynomial with integer coefficients.
+    a Laurent polynomial with integer coefficients; per e_rho these form
+    one wedge series over [n]_z1, and `_apply_coefficients` multiplies in
+    the e-coefficients of f.
     """
     if n < 1:
         raise GuardError("n must be >= 1")
@@ -493,14 +474,13 @@ def euler_theorem(f, n, order):
         raise GuardError("theorem evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
     fe = convert(to_p(f), "e")
-    den = z_bracket(n).num
-    series = BiSeries(order)
+    # numerators per e_rho: z2-degree m -> Laurent polynomial in z1
+    nums = {rho: {} for rho in fe.c}
     for m in range(order + 1):
-        # numerators per e_rho, each as z1-shift -> integer polynomial
-        nums = {rho: {} for rho in fe.c}
         for mu in partitions_of(m, n):
             shifts = {}
-            for rho, num in nums.items():
+            for rho, by_m in nums.items():
+                num = by_m.setdefault(m, {})
                 for nu, c in _e_times_P(rho, mu, n).items():
                     shift = shifts.get(nu)
                     if shift is None:
@@ -508,26 +488,11 @@ def euler_theorem(f, n, order):
                         if shift < 0:
                             log.debug("term-level negative z1 exponent %d at "
                                       "mu=%r nu=%r", shift, mu, nu)
-                    num[shift] = padd(num.get(shift, (0,)),
-                                      pmul(c, z_multinomial(nu, n)))
-        acc = RF0
-        for rho, num in nums.items():
-            lo = min(num, default=0)
-            poly = (0,)
-            for shift, p in num.items():
-                poly = padd(poly, (0,) * (shift - lo) + p)
-            term = RationalFunction1((0,) * max(lo, 0) + poly,
-                                     (0,) * max(-lo, 0) + den)
-            acc = acc + term * fe.c[rho]
-        if not acc:
-            continue
-        if not acc.den[0]:
-            raise ArithmeticError(
-                "negative z1 exponent survives in the finalized series at "
-                "z2-degree %d: %s" % (m, acc))
-        for a, v in enumerate(acc.expand(order)):
-            if v:
-                series.c[(a, m)] = v
+                    for i, v in enumerate(pmul(c, z_multinomial(nu, n))):
+                        num[shift + i] = num.get(shift + i, 0) + v
+    tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
+              .expand(order - _z_valuation(c)) for rho, c in fe.c.items()}
+    series = _apply_coefficients(tables, fe.c, order)
     return EulerResult("theorem", series, n, order, time.monotonic() - t0)
 
 

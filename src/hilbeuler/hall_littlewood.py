@@ -14,8 +14,7 @@ from types import MappingProxyType
 from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
 from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
-from .symfunc import (DEGREE_BOUND, SymFunc, _check_degree, _merge, hl_inner,
-                      multiply, to_p)
+from .symfunc import SymFunc, _check_degree, hl_inner, multiply, to_p
 
 # ---------------------------------------------------------------------------
 # plethystic arguments
@@ -32,64 +31,6 @@ ARG_INV_ONE_MINUS_Z = ((0, RF1 / RationalFunction1((1, -1))),)  # (1-z)^{-1}
 def adams(arg, k):
     """Evaluation of every symbol at its k-th power."""
     return tuple((e * k, coef.subs_power(k)) for e, coef in arg)
-
-
-def _xdict_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            nv = out.get(e, RF0) + c1 * c2
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-    return out
-
-
-def gamma_minus(arg, f, x_window=None, degree_bound=DEGREE_BOUND):
-    """Apply exp(sum_k A_k p_k / k) to f, graded by x-degree.
-
-    Returns a dict x-degree -> SymFunc (p-basis), truncated at the symmetric
-    degree bound. When the argument is x-free the only grade is 0.
-    """
-    fp = to_p(f)
-    if not fp:
-        return {}
-    fmin = min(sum(k) for k in fp.c)
-    cap = degree_bound - fmin
-    out = {}
-    for d in range(cap + 1):
-        for kappa in partitions_of(d):
-            factor = {0: RF1}
-            for part in kappa:
-                ak = {}
-                for e, coef in adams(arg, part):
-                    nv = ak.get(e, RF0) + coef
-                    if nv:
-                        ak[e] = nv
-                    else:
-                        ak.pop(e, None)
-                factor = _xdict_mul(factor, ak)
-                if not factor:
-                    break
-            if not factor:
-                continue
-            zk = zee(kappa)
-            for lam, cf in fp.c.items():
-                if sum(lam) + d > degree_bound:
-                    continue
-                key = _merge(kappa, lam)
-                for xd, fc in factor.items():
-                    if x_window is not None and xd not in x_window:
-                        continue
-                    dest = out.setdefault(xd, SymFunc("p"))
-                    nv = dest.c.get(key, RF0) + fc * cf * RationalFunction1.const(1) / zk
-                    if nv:
-                        dest.c[key] = nv
-                    else:
-                        dest.c.pop(key, None)
-    return {xd: g for xd, g in out.items() if g}
 
 
 def gamma_plus(arg, f):

@@ -114,31 +114,8 @@ def zee(mu):
     return z
 
 
-def dominates(lam, mu):
-    """True if lam >= mu in dominance order (same size assumed)."""
-    s1 = s2 = 0
-    for i in range(max(len(lam), len(mu))):
-        s1 += lam[i] if i < len(lam) else 0
-        s2 += mu[i] if i < len(mu) else 0
-        if s1 < s2:
-            return False
-    return True
-
-
 def contains(mu, lam):
     """True if the diagram of lam fits inside the diagram of mu."""
     if len(lam) > len(mu):
         return False
     return all(mu[i] >= lam[i] for i in range(len(lam)))
-
-
-def is_horizontal_strip(mu, lam):
-    """True if mu/lam is a horizontal strip (at most one cell per column)."""
-    if not contains(mu, lam):
-        return False
-    mc, lc = conjugate(mu), conjugate(lam)
-    for j in range(len(mc)):
-        l = lc[j] if j < len(lc) else 0
-        if mc[j] - l > 1:
-            return False
-    return True

@@ -1,4 +1,7 @@
-"""Truncated bivariate power series in z1, z2 with exact rational coefficients.
+"""Truncated bivariate power series in z1, z2 with exact coefficients.
+
+Coefficients are kept as given, int or Fraction, so integer work stays in
+int.
 
 The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
@@ -18,15 +21,15 @@ class BiSeries:
                 if a < 0 or b < 0:
                     raise ValueError("negative exponent (%d, %d)" % (a, b))
                 if a <= order and b <= order and v:
-                    self.c[(a, b)] = Fraction(v)
+                    self.c[(a, b)] = v
 
     @classmethod
     def const(cls, order, value):
-        return cls(order, {(0, 0): Fraction(value)})
+        return cls(order, {(0, 0): value})
 
     @classmethod
     def monomial(cls, order, a, b, value=1):
-        return cls(order, {(a, b): Fraction(value)})
+        return cls(order, {(a, b): value})
 
     def copy(self):
         s = BiSeries(self.order)
@@ -148,27 +151,6 @@ def geometric(order, axis):
     """Sum of z_axis^k over the window (axis 1 or 2)."""
     s = BiSeries(order)
     for k in range(order + 1):
-        s.c[(k, 0) if axis == 1 else (0, k)] = Fraction(1)
+        s.c[(k, 0) if axis == 1 else (0, k)] = 1
     return s
 
-
-def geometric_z1z2(order):
-    """Sum of (z1*z2)^k over the window."""
-    s = BiSeries(order)
-    for k in range(order + 1):
-        s.c[(k, k)] = Fraction(1)
-    return s
-
-
-def from_rf_product(order, rf1, rf2):
-    """BiSeries expansion of rf1(z1) * rf2(z2)."""
-    c1 = rf1.expand(order)
-    c2 = rf2.expand(order)
-    s = BiSeries(order)
-    for a, v1 in enumerate(c1):
-        if not v1:
-            continue
-        for b, v2 in enumerate(c2):
-            if v1 * v2:
-                s.c[(a, b)] = v1 * v2
-    return s

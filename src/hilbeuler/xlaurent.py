@@ -1,8 +1,8 @@
 """Laurent polynomials in x_1..x_n with coefficients in an arbitrary ring.
 
-Coefficients may be Fractions, RationalFunction1 values, or BiSeries; any
-type supporting +, * and truthiness-as-nonzero works. Exponent vectors are
-integer tuples of fixed length.
+Coefficients may be ints, Fractions, RationalFunction1 values, or BiSeries;
+any type supporting +, * and truthiness-as-nonzero works. Exponent vectors
+are integer tuples of fixed length.
 """
 
 
@@ -29,6 +29,9 @@ class XLaurent:
 
     def __bool__(self):
         return bool(self.c)
+
+    def __len__(self):
+        return len(self.c)
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -106,21 +109,3 @@ class XLaurent:
     def __repr__(self):
         return "XLaurent(%d, %r)" % (self.nvars, self.c)
 
-
-def constant_term(value, zero=0):
-    """Coefficient of x^0."""
-    return value.c.get((0,) * value.nvars, zero)
-
-
-def constant_term_nonneg(value, zero=0):
-    """Sum of coefficients over exponent vectors in the nonnegative orthant.
-
-    This realizes pairing against the plethystic exponential of the inverted
-    alphabet: every factor (1 - 1/x_i)^(-1) is expanded into nonpositive
-    powers of x_i.
-    """
-    acc = zero
-    for k, v in value.c.items():
-        if all(e >= 0 for e in k):
-            acc = acc + v
-    return acc

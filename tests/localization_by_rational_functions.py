@@ -171,3 +171,17 @@ def localization_by_rational_functions(f, n, order,
             feval = feval + term.scale(coef)
         total = total + feval * omega(data.cotangent_char, order)
     return total.to_biseries()
+
+
+def from_rf_product(order, rf1, rf2):
+    """BiSeries expansion of rf1(z1) * rf2(z2)."""
+    c1 = rf1.expand(order)
+    c2 = rf2.expand(order)
+    s = BiSeries(order)
+    for a, v1 in enumerate(c1):
+        if not v1:
+            continue
+        for b, v2 in enumerate(c2):
+            if v1 * v2:
+                s.c[(a, b)] = v1 * v2
+    return s

@@ -73,6 +73,19 @@ def test_chi_guard_error(capsys):
     assert err.startswith("error: guard:")
 
 
+def test_chi_constant_term_guard_names_no_cli_option(capsys):
+    # force=True exists only in the API, so the message must not offer it
+    # as something to pass on the command line
+    for method in ("constant-term", "all"):
+        code, out, err = run_cli(capsys, "chi", "--f", "s[1]", "--n", "4",
+                                 "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: guard:")
+        assert "pass force=True" not in err
+        assert "euler_constant_term(..., force=True)" in err
+
+
 def test_chi_negative_max_deg_is_a_guard_error(capsys):
     for fmt in ("json", "pretty"):
         code, out, err = run_cli(capsys, "chi", "--f", "s[1]", "--n", "2",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
 from hilbeuler.euler import (GuardError, VirtualCharacter,
                              WedgeSeries, _wedge_inverse_factor,
@@ -14,7 +15,7 @@ from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
                                        k_exponent)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1, rf_expand
-from hilbeuler.series import BiSeries, from_rf_product
+from hilbeuler.series import BiSeries
 from hilbeuler.symfunc import SymFunc, multiply, to_p
 
 GEO = RF1 / RationalFunction1((1, -1))
@@ -28,7 +29,7 @@ def test_omega_small_monomials():
     D = 4
     # Omega(z1 + z2) = 1/((1-z1)(1-z2))
     ws = omega(VirtualCharacter({(1, 0): 1, (0, 1): 1}), D)
-    assert ws.to_biseries() == from_rf_product(D, GEO, GEO)
+    assert ws.to_biseries() == oracle.from_rf_product(D, GEO, GEO)
     # Omega(1 - M) with M = z1 + z2 - z1*z2... polynomial factor case:
     # Omega(-(z1*z2)) = 1 - z1*z2
     ws = omega(VirtualCharacter({(1, 1): -1}), D)
@@ -103,7 +104,7 @@ def test_cotangent_dimension():
 
 def test_n1_is_geometric_product():
     D = 4
-    want = from_rf_product(D, GEO, GEO)
+    want = oracle.from_rf_product(D, GEO, GEO)
     assert euler_localization(ONE, 1, D).series == want
     assert euler_theorem(ONE, 1, D).series == want
     assert euler_constant_term(ONE, 1, D).series == want
@@ -329,3 +330,21 @@ def test_localization_equals_theorem_at_n6_D12():
         f = to_symfunc(parse(expr))
         assert (euler_localization(f, 6, 12).series
                 == euler_theorem(f, 6, 12).series), expr
+
+
+# ---------------------------------------------------------------------------
+# constant-term against its Fraction-series oracle
+
+def test_constant_term_equals_fraction_oracle():
+    # p-coefficients: positive, mixed-sign, rational in z1, none, constant
+    exprs = ("s[2,1]", "p[2]-s[1,1]", "P[2,1]+2*Q[1]", "0", "1")
+    cases = [(expr, n, 4) for expr in exprs for n in (1, 2, 3)]
+    cases += [(expr, 4, 2) for expr in exprs]
+    for expr, n, D in cases:
+        f = to_symfunc(parse(expr))
+        want = ct_oracle.constant_term_by_fractions(f, n, D)
+        for d in range(D + 1):
+            got = euler_constant_term(f, n, d, force=n > 3).series
+            assert all(got.coeff(a, b) == want.coeff(a, b)
+                       for a in range(d + 1) for b in range(d + 1)), \
+                (expr, n, d)

@@ -3,17 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
-                                       ARG_X_ONE_MINUS_Z, LemmaCheck, b_norm,
-                                       b_norm_finite, expand_in_P,
-                                       gamma_minus, gamma_plus,
+                                       ARG_X_ONE_MINUS_Z, LemmaCheck, adams,
+                                       b_norm, b_norm_finite, expand_in_P,
+                                       gamma_plus,
                                        gaussian_binomial, hl_P, hl_Q,
                                        hl_q_row, jing_J, k_exponent,
                                        matrix_element, pieri_e, psi,
                                        verify_lemma, z_bracket,
                                        z_multinomial)
-from hilbeuler.partitions import partitions_of, partitions_up_to
+from hilbeuler.partitions import partitions_of, partitions_up_to, zee
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
-from hilbeuler.symfunc import SymFunc, convert, hl_inner, multiply, to_p
+from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
+                               hl_inner, multiply, to_p)
 
 ONE_MINUS_Z = RationalFunction1((1, -1))
 HALF = RationalFunction1.const(Fraction(1, 2))
@@ -62,7 +63,65 @@ def test_p2_in_m():
 
 
 # ---------------------------------------------------------------------------
-# half vertex operators
+# half vertex operators; the lowering half is needed only by these tests
+
+def _xdict_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            nv = out.get(e, RF0) + c1 * c2
+            if nv:
+                out[e] = nv
+            else:
+                out.pop(e, None)
+    return out
+
+
+def gamma_minus(arg, f, x_window=None, degree_bound=DEGREE_BOUND):
+    """Apply exp(sum_k A_k p_k / k) to f, graded by x-degree.
+
+    Returns a dict x-degree -> SymFunc (p-basis), truncated at the symmetric
+    degree bound. When the argument is x-free the only grade is 0.
+    """
+    fp = to_p(f)
+    if not fp:
+        return {}
+    fmin = min(sum(k) for k in fp.c)
+    cap = degree_bound - fmin
+    out = {}
+    for d in range(cap + 1):
+        for kappa in partitions_of(d):
+            factor = {0: RF1}
+            for part in kappa:
+                ak = {}
+                for e, coef in adams(arg, part):
+                    nv = ak.get(e, RF0) + coef
+                    if nv:
+                        ak[e] = nv
+                    else:
+                        ak.pop(e, None)
+                factor = _xdict_mul(factor, ak)
+                if not factor:
+                    break
+            if not factor:
+                continue
+            zk = zee(kappa)
+            for lam, cf in fp.c.items():
+                if sum(lam) + d > degree_bound:
+                    continue
+                key = _merge(kappa, lam)
+                for xd, fc in factor.items():
+                    if x_window is not None and xd not in x_window:
+                        continue
+                    dest = out.setdefault(xd, SymFunc("p"))
+                    nv = dest.c.get(key, RF0) + fc * cf * RationalFunction1.const(1) / zk
+                    if nv:
+                        dest.c[key] = nv
+                    else:
+                        dest.c.pop(key, None)
+    return {xd: g for xd, g in out.items() if g}
+
 
 def test_gamma_minus_x_expansion():
     graded = gamma_minus(ARG_X_ONE_MINUS_Z, SymFunc.one())

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from constant_term_by_fractions import geometric_z1z2
 from hilbeuler.ratfunc import RF1, RationalFunction1
-from hilbeuler.series import (BiSeries, from_rf_product, geometric,
-                              geometric_z1z2)
-from hilbeuler.xlaurent import XLaurent, constant_term, constant_term_nonneg
+from hilbeuler.series import BiSeries, geometric
+from hilbeuler.xlaurent import XLaurent
+from localization_by_rational_functions import from_rf_product
 
 
 def _random_biseries(rng, order, nterms=6):
@@ -25,6 +26,8 @@ def test_truncation_window():
     t = s * s
     # (1,1)+(1,1) = (2,2) stays, anything beyond the cap is dropped
     assert t.coeff(2, 2) == 1
+    # integer coefficients stay int, not Fraction
+    assert type(t.coeff(2, 2)) is int
     assert all(a <= 2 and b <= 2 for a, b in t.c)
     with pytest.raises(ValueError):
         BiSeries(3, {(-1, 0): 1})
@@ -77,6 +80,25 @@ def test_nonneg_integral():
 
 # ---------------------------------------------------------------------------
 # XLaurent
+
+def constant_term(value, zero=0):
+    """Coefficient of x^0."""
+    return value.c.get((0,) * value.nvars, zero)
+
+
+def constant_term_nonneg(value, zero=0):
+    """Sum of coefficients over exponent vectors in the nonnegative orthant.
+
+    This realizes pairing against the plethystic exponential of the inverted
+    alphabet: every factor (1 - 1/x_i)^(-1) is expanded into nonpositive
+    powers of x_i.
+    """
+    acc = zero
+    for k, v in value.c.items():
+        if all(e >= 0 for e in k):
+            acc = acc + v
+    return acc
+
 
 def _random_xlaurent(rng, nvars, nterms=8, span=3):
     x = XLaurent(nvars)
