@@ -15,9 +15,9 @@ from .hall_littlewood import (b_norm, b_norm_finite, expand_in_P, hl_P, hl_Q,
                               jing_J, k_exponent, matrix_element, psi,
                               verify_lemma)
 from .euler import (DEFAULT_CONVENTION, EulerResult, GuardError,
-                    VirtualCharacter, cross_check, euler_constant_term,
-                    euler_localization, euler_theorem, evaluate,
-                    fixed_point_data, omega, partition_function)
+                    cross_check, euler_constant_term, euler_localization,
+                    euler_theorem, evaluate, fixed_point_data, omega,
+                    partition_function)
 from .fexpr import ParseError, parse, parse_symfunc, render, to_symfunc
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .hall_littlewood import (b_norm, b_norm_finite, hl_P, jing_J,
 from .partitions import partitions_of, partitions_up_to, zee
 from .ratfunc import RF0, RF1, RationalFunction1, rf_str
 from .symfunc import DegreeBoundError, SymFunc, convert, hl_inner, to_p
+from .xlaurent import add_terms
 
 log = logging.getLogger(__name__)
 
@@ -171,13 +172,8 @@ def verify_cauchy_suite(max_size):
             p1 = to_p(SymFunc.element("P", lam))
             bl = b_norm(lam)
             for k1, c1 in p1.c.items():
-                for k2, c2 in p1.c.items():
-                    key = (k1, k2)
-                    nv = rhs.get(key, RF0) + bl * c1 * c2
-                    if nv:
-                        rhs[key] = nv
-                    else:
-                        rhs.pop(key, None)
+                add_terms(rhs, (((k1, k2), bl * c1 * c2)
+                                for k2, c2 in p1.c.items()))
         yield "cauchy degree=%d" % d, lhs == rhs
 
 

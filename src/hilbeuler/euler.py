@@ -18,8 +18,8 @@ from math import factorial
 from .partitions import arm_leg, as_partition, cells, partitions_of
 from .ratfunc import RationalFunction1, padd, pmul, rf_expand
 from .series import BiSeries, geometric
-from .symfunc import convert, schur_positive, to_p
-from .xlaurent import XLaurent
+from .symfunc import convert, p_in_x, schur_positive, to_p
+from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
 # this module by name, so they stay imported here although only k_exponent
 # is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
@@ -41,61 +41,6 @@ MAX_N = 6
 
 class GuardError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# virtual characters
-
-class VirtualCharacter:
-    """Formal integer combination of torus weight monomials z1^p z2^q."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    self.c[tuple(k)] = int(v)
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        r = VirtualCharacter()
-        r.c = out
-        return r
-
-    def __neg__(self):
-        r = VirtualCharacter()
-        r.c = {k: -v for k, v in self.c.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def swap_vars(self):
-        r = VirtualCharacter()
-        r.c = {(q, p): v for (p, q), v in self.c.items()}
-        return r
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualCharacter):
-            return NotImplemented
-        return self.c == other.c
-
-    def items_sorted(self):
-        return sorted(self.c.items())
-
-    def total(self):
-        return sum(self.c.values())
-
-    def __repr__(self):
-        return "VirtualCharacter(%r)" % (self.c,)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +71,8 @@ class WedgeSeries:
 
     def __mul__(self, other):
         D = self.order
+        # inline per-term kernel, run once per fixed point and factor; zeros
+        # are dropped once, by the constructor
         out = {}
         for b1, x in self.c.items():
             for b2, y in other.c.items():
@@ -157,10 +104,6 @@ class WedgeSeries:
                 if v:
                     out[(lo + i, b)] = v
         return out
-
-    def to_biseries(self):
-        """Expand in z1; every z2-coefficient must be holomorphic at 0."""
-        return _holomorphic_part(self.expand(self.order), self.order)
 
 
 def _holomorphic_part(coeffs, order):
@@ -206,7 +149,8 @@ def _wedge_poly_factor(p, q, order):
 
 
 def omega(char, order):
-    """Plethystic exponential of a virtual character as a wedge series.
+    """Plethystic exponential of a virtual character, an XLaurent(2, ...)
+    of weight multiplicities, as a wedge series.
 
     Product over monomials m with multiplicity c of (1 - m)^(-c), each
     factor expanded by the wedge rule (z2 outermost).
@@ -239,9 +183,11 @@ def _power_sum(char, k, order):
 
 @dataclass
 class FixedPointData:
+    """Characters at a fixed point: integer combinations of torus weights
+    z1^p z2^q, as XLaurent(2, {(p, q): multiplicity})."""
     mu: tuple
-    taut_char: VirtualCharacter
-    cotangent_char: VirtualCharacter
+    taut_char: XLaurent
+    cotangent_char: XLaurent
 
 
 def fixed_point_data(mu, convention=DEFAULT_CONVENTION):
@@ -249,20 +195,18 @@ def fixed_point_data(mu, convention=DEFAULT_CONVENTION):
     mu = as_partition(mu)
     if convention not in ("row", "col"):
         raise ValueError("convention must be 'row' or 'col'")
-    taut = {}
-    cot = {}
+
+    # z1 tracks the arm (row) direction, z2 the leg (column) direction, for
+    # both the tautological fiber and the cotangent weights; "col" swaps them
+    def weight(p, q):
+        return (q, p) if convention == "col" else (p, q)
+
+    taut, cot = XLaurent(2), XLaurent(2)
     for (i, j) in cells(mu):
-        # z1 tracks the arm (row) direction, z2 the leg (column) direction,
-        # for both the tautological fiber and the cotangent weights
-        taut[(j, i)] = taut.get((j, i), 0) + 1
         a, l = arm_leg(mu, (i, j))
-        for key in ((a + 1, -l), (-a, l + 1)):
-            cot[key] = cot.get(key, 0) + 1
-    data = FixedPointData(mu, VirtualCharacter(taut), VirtualCharacter(cot))
-    if convention == "col":
-        data = FixedPointData(mu, data.taut_char.swap_vars(),
-                              data.cotangent_char.swap_vars())
-    return data
+        add_terms(taut.c, [(weight(j, i), 1)])
+        add_terms(cot.c, [(weight(a + 1, -l), 1), (weight(-a, l + 1), 1)])
+    return FixedPointData(mu, taut, cot)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +239,8 @@ def _apply_coefficients(tables, coeffs, order):
     rational function of z1. Each coefficient is expanded once at z1 = 0,
     and the sum must be holomorphic there.
     """
+    # inline per-term kernel: every table entry meets every term of its
+    # coefficient's expansion; zeros are dropped once, by _holomorphic_part
     total = {}
     for lam, table in tables.items():
         table = {key: v for key, v in table.items() if v}
@@ -393,15 +339,6 @@ def _delta_kernel(n, order, slack):
                         if sum(-x for x in w if x < 0) <= order + slack})
 
 
-def _p_in_x(lam, n):
-    """p_lam(x_1..x_n) as an XLaurent with integer coefficients."""
-    out = XLaurent.const(n, 1)
-    for k in lam:
-        out = out * XLaurent(n, {tuple(k if j == i else 0 for j in range(n)): 1
-                                 for i in range(n)})
-    return out
-
-
 def euler_constant_term(f, n, order, force=False):
     """Pair the delta kernel times f(x_1..x_n) against Omega(1/X).
 
@@ -426,7 +363,7 @@ def euler_constant_term(f, n, order, force=False):
     tables = {}
     for lam in fp.c:
         shifted = BiSeries(order)
-        for v, bs in (kern * _p_in_x(lam, n)).c.items():
+        for v, bs in (kern * p_in_x(lam, n, 1)).c.items():
             raise_cost = sum(-x for x in v if x < 0)
             if raise_cost <= order:
                 shifted = shifted + bs.shift(raise_cost, raise_cost)
@@ -474,7 +411,8 @@ def euler_theorem(f, n, order):
         raise GuardError("theorem evaluator refuses n > %d" % MAX_N)
     t0 = time.monotonic()
     fe = convert(to_p(f), "e")
-    # numerators per e_rho: z2-degree m -> Laurent polynomial in z1
+    # numerators per e_rho: z2-degree m -> Laurent polynomial in z1, summed
+    # inline per term; the WedgeSeries constructor drops zeros once
     nums = {rho: {} for rho in fe.c}
     for m in range(order + 1):
         for mu in partitions_of(m, n):

@@ -15,6 +15,7 @@ from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
 from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
 from .symfunc import SymFunc, _check_degree, hl_inner, multiply, to_p
+from .xlaurent import add_terms
 
 # ---------------------------------------------------------------------------
 # plethystic arguments
@@ -44,30 +45,12 @@ def gamma_plus(arg, f):
             nxt = {}
             ak = adams(arg, part)
             for (xd, kept), coef in states.items():
-                key = (xd, kept + (part,))
-                nv = nxt.get(key, RF0) + coef
-                if nv:
-                    nxt[key] = nv
-                for e, c in ak:
-                    if not c:
-                        continue
-                    key = (xd + e, kept)
-                    nv = nxt.get(key, RF0) + coef * c
-                    if nv:
-                        nxt[key] = nv
-                    else:
-                        nxt.pop(key, None)
+                add_terms(nxt, [((xd, kept + (part,)), coef)]
+                          + [((xd + e, kept), coef * c) for e, c in ak])
             states = nxt
         for (xd, kept), coef in states.items():
-            if not coef:
-                continue
-            dest = out.setdefault(xd, SymFunc("p"))
-            key = tuple(sorted(kept, reverse=True))
-            nv = dest.c.get(key, RF0) + coef
-            if nv:
-                dest.c[key] = nv
-            else:
-                dest.c.pop(key, None)
+            add_terms(out.setdefault(xd, SymFunc("p")).c,
+                      [(tuple(sorted(kept, reverse=True)), coef)])
     return {xd: g for xd, g in out.items() if g}
 
 

@@ -56,12 +56,6 @@ def multiplicities(mu, n):
     return out
 
 
-def part_multiplicity_partition(mu, n):
-    """The partition whose parts are the multiset {m_i(mu)}, m_0 included."""
-    ms = [m for _, m in multiplicities(mu, n) if m > 0]
-    return tuple(sorted(ms, reverse=True))
-
-
 def arm_leg(mu, cell):
     """Arm and leg lengths of a diagram cell (0-based (row, col))."""
     i, j = cell

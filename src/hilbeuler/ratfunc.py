@@ -232,13 +232,6 @@ class RationalFunction1:
     def is_polynomial(self):
         return pdegree(self.den) == 0
 
-    def poly_coeffs(self):
-        """Coefficients as Fractions; requires a polynomial value."""
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial: %r" % (self,))
-        d = self.den[0]
-        return tuple(Fraction(c, d) for c in self.num)
-
     def subs_power(self, k):
         """Substitute z -> z^k."""
         return RationalFunction1(psubs_power(self.num, k),

@@ -9,6 +9,8 @@ The truncation is a per-variable degree cap: only exponents (a, b) with
 
 from fractions import Fraction
 
+from .xlaurent import add_terms
+
 
 class BiSeries:
     __slots__ = ("order", "c")
@@ -49,12 +51,7 @@ class BiSeries:
             other = BiSeries.const(self.order, other)
         self._check(other)
         s = self.copy()
-        for k, v in other.c.items():
-            nv = s.c.get(k, 0) + v
-            if nv:
-                s.c[k] = nv
-            else:
-                s.c.pop(k, None)
+        add_terms(s.c, other.c.items())
         return s
 
     __radd__ = __add__
@@ -78,6 +75,8 @@ class BiSeries:
             return s
         self._check(other)
         D = self.order
+        # inline per-term kernel: the constant-term sweep makes tens of
+        # millions of term products here, so zeros are dropped once at the end
         out = {}
         for (a1, b1), v1 in self.c.items():
             for (a2, b2), v2 in other.c.items():
@@ -127,13 +126,6 @@ class BiSeries:
 
     def is_symmetric(self):
         return self == self.swap_vars()
-
-    def min_total_degree(self):
-        """Smallest a+b with a nonzero coefficient (None if zero)."""
-        return min((a + b for (a, b) in self.c), default=None)
-
-    def negative_coeffs(self):
-        return sorted((k, v) for k, v in self.c.items() if v < 0)
 
     def is_nonneg_integral(self):
         return all(v >= 0 and v.denominator == 1 for v in self.c.values())

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .partitions import partitions_of, zee, as_partition
 from .ratfunc import RationalFunction1, RF0, RF1
-from .xlaurent import XLaurent
+from .xlaurent import XLaurent, add_terms
 
 BASES = ("p", "m", "h", "e", "s", "P", "Q")
 
@@ -70,12 +70,7 @@ class SymFunc:
         if self.basis != other.basis:
             other = convert(other, self.basis)
         f = self.copy()
-        for k, v in other.c.items():
-            nv = f.c.get(k, RF0) + v
-            if nv:
-                f.c[k] = nv
-            else:
-                f.c.pop(k, None)
+        add_terms(f.c, other.c.items())
         return f
 
     def __neg__(self):
@@ -243,10 +238,8 @@ def e_in_p(k):
 def _pdict_mul(a, b):
     out = {}
     for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = _merge(k1, k2)
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+        add_terms(out, ((_merge(k1, k2), v1 * v2) for k2, v2 in b.items()))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +248,7 @@ def _prod_in_p(kind, lam):
     out = {(): Fraction(1)}
     base = h_in_p if kind == "h" else e_in_p
     for part in lam:
-        out = _pdict_mul(out, {k: v for k, v in base(part).items()})
+        out = _pdict_mul(out, base(part))
     return out
 
 
@@ -278,14 +271,8 @@ def _jacobi_trudi_h(lam):
                 continue
             sign = -1 if ci % 2 else 1
             sub = det(row + 1, cols[:ci] + cols[ci + 1:])
-            for k, v in sub.items():
-                key = tuple(sorted(k + ((idx,) if idx > 0 else ()),
-                                   reverse=True))
-                nv = out.get(key, 0) + sign * v
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+            add_terms(out, ((_merge(k, (idx,) if idx > 0 else ()), sign * v)
+                            for k, v in sub.items()))
         return out
 
     return det(0, tuple(range(n)))
@@ -295,12 +282,8 @@ def _jacobi_trudi_h(lam):
 def s_in_p(lam):
     out = {}
     for hkey, coef in _jacobi_trudi_h(lam).items():
-        for k, v in _prod_in_p("h", hkey).items():
-            nv = out.get(k, Fraction(0)) + coef * v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        add_terms(out, ((k, coef * v)
+                        for k, v in _prod_in_p("h", hkey).items()))
     return out
 
 
@@ -340,7 +323,7 @@ def to_p(f):
         out = SymFunc("p")
         elem = hl_P if f.basis == "P" else hl_Q
         for lam, coef in f.c.items():
-            out = out + elem(lam).scale(coef)
+            add_terms(out.c, elem(lam).scale(coef).c.items())
         return out
     out = SymFunc("p")
     for lam, coef in f.c.items():
@@ -350,12 +333,7 @@ def to_p(f):
             row = m_in_p_matrix(d)[lam]
         else:
             row = _basis_in_p_matrix(f.basis, d)[lam]
-        for k, frac in row.items():
-            nv = out.c.get(k, RF0) + coef * frac
-            if nv:
-                out.c[k] = nv
-            else:
-                out.c.pop(k, None)
+        add_terms(out.c, ((k, coef * frac) for k, frac in row.items()))
     return out
 
 
@@ -374,12 +352,8 @@ def from_p(f, target):
         mat = _p_in_basis_matrix(target, d)
         comp = {k: v for k, v in f.c.items() if sum(k) == d}
         for lam, coef in comp.items():
-            for k, frac in mat[lam].items():
-                nv = out.c.get(k, RF0) + coef * frac
-                if nv:
-                    out.c[k] = nv
-                else:
-                    out.c.pop(k, None)
+            add_terms(out.c, ((k, coef * frac)
+                              for k, frac in mat[lam].items()))
     return out
 
 
@@ -400,14 +374,10 @@ def multiply(f, g):
     fp, gp = to_p(f), to_p(g)
     out = SymFunc("p")
     for k1, v1 in fp.c.items():
-        for k2, v2 in gp.c.items():
+        for k2 in gp.c:
             _check_degree(sum(k1) + sum(k2))
-            k = _merge(k1, k2)
-            nv = out.c.get(k, RF0) + v1 * v2
-            if nv:
-                out.c[k] = nv
-            else:
-                out.c.pop(k, None)
+        add_terms(out.c, ((_merge(k1, k2), v1 * v2)
+                          for k2, v2 in gp.c.items()))
     return out
 
 
@@ -448,25 +418,22 @@ def hall_inner(f, g):
 
 def to_finite_vars(f, n, inverted=False):
     """Evaluate f at x_1 + ... + x_n (inverted: at the reciprocal alphabet)."""
-    fp = to_p(f)
     sign = -1 if inverted else 1
     out = XLaurent(n)
-    for lam, coef in fp.c.items():
-        term = XLaurent.const(n, RF1)
-        for k in lam:
-            pk = XLaurent(n)
-            for i in range(n):
-                exps = [0] * n
-                exps[i] = sign * k
-                key = tuple(exps)
-                pk.c[key] = pk.c.get(key, RF0) + RF1
-            term = term * pk
-        for k, v in term.c.items():
-            nv = out.c.get(k, RF0) + v * coef
-            if nv:
-                out.c[k] = nv
-            else:
-                out.c.pop(k, None)
+    for lam, coef in to_p(f).c.items():
+        add_terms(out.c, ((k, v * coef)
+                          for k, v in p_in_x(lam, n, sign).c.items()))
+    return out
+
+
+def p_in_x(lam, n, sign):
+    """p_lam at x_1..x_n (sign -1: at their inverses), as an XLaurent with
+    integer coefficients."""
+    out = XLaurent.const(n, 1)
+    for k in lam:
+        out = out * XLaurent(n, {tuple(sign * k if j == i else 0
+                                       for j in range(n)): 1
+                                 for i in range(n)})
     return out
 
 

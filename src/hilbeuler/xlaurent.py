@@ -3,7 +3,26 @@
 Coefficients may be ints, Fractions, RationalFunction1 values, or BiSeries;
 any type supporting +, * and truthiness-as-nonzero works. Exponent vectors
 are integer tuples of fixed length.
+
+`add_terms` is the one merge step for every sparse dict in the package
+(symmetric functions, torus characters, x-Laurent kernels and bivariate
+series): it adds terms into a dict and keeps only nonzero values.
 """
+
+
+def add_terms(out, terms):
+    """Add (key, value) pairs into the dict out and return it. Zero terms
+    are skipped and a key whose value cancels is deleted."""
+    for k, v in terms:
+        if not v:
+            continue
+        if k in out:
+            v = out[k] + v
+            if not v:
+                del out[k]
+                continue
+        out[k] = v
+    return out
 
 
 class XLaurent:
@@ -39,15 +58,8 @@ class XLaurent:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            nv = out[k] + v if k in out else v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
         r = XLaurent(self.nvars)
-        r.c = out
+        r.c = add_terms(dict(self.c), other.c.items())
         return r
 
     def __neg__(self):
@@ -60,23 +72,10 @@ class XLaurent:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                v = v1 * v2
-                if not v:
-                    continue
-                if k in out:
-                    nv = out[k] + v
-                    if nv:
-                        out[k] = nv
-                    else:
-                        del out[k]
-                else:
-                    out[k] = v
         r = XLaurent(self.nvars)
-        r.c = out
+        for k1, v1 in self.c.items():
+            add_terms(r.c, ((tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
+                            for k2, v2 in other.c.items()))
         return r
 
     def scale(self, value):

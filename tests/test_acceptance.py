@@ -5,7 +5,7 @@ them alongside the pytest dots)."""
 import json
 from fractions import Fraction
 
-from hilbeuler.cli import main
+from hilbeuler.cli import main, verify_cauchy_suite
 from hilbeuler.euler import (cross_check, euler_constant_term,
                              euler_localization, euler_theorem,
                              partition_function)
@@ -13,11 +13,11 @@ from hilbeuler.finite_inner import hl_inner_finite
 from hilbeuler.hall_littlewood import (b_norm, b_norm_finite, expand_in_P,
                                        hl_P, hl_Q, k_exponent, verify_lemma,
                                        z_bracket)
-from hilbeuler.partitions import (part_multiplicity_partition, partitions_of,
-                                  partitions_up_to, zee)
+from hilbeuler.partitions import partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import (SymFunc, hl_inner, multiply, principal_spec,
                                to_p)
+from test_partitions import part_multiplicity_partition
 
 ONE = SymFunc.one()
 ONE_MINUS_Z = RationalFunction1((1, -1))
@@ -30,6 +30,13 @@ F_BASKET = [
     ("s[2,1]", SymFunc.element("s", (2, 1))),
     ("h[2]", SymFunc.element("h", (2,))),
 ]
+
+
+def _poly_coeffs(r):
+    """Coefficients of a polynomial rational function, as Fractions."""
+    if not r.is_polynomial():
+        raise ValueError("not a polynomial: %r" % (r,))
+    return tuple(Fraction(c, r.den[0]) for c in r.num)
 
 
 def _verdict(name, ok):
@@ -130,28 +137,7 @@ def test_criterion_07_jing_vs_gram_schmidt():
 
 
 def test_criterion_08_cauchy_kernel():
-    ok = True
-    for d in range(5):
-        lhs = {}
-        for kappa in partitions_of(d):
-            coef = RF1
-            for part in kappa:
-                coef = coef * RationalFunction1((1,) + (0,) * (part - 1)
-                                                + (-1,))
-            lhs[(kappa, kappa)] = coef / zee(kappa)
-        rhs = {}
-        for lam in partitions_of(d):
-            pl = to_p(hl_P(lam))
-            bl = b_norm(lam)
-            for k1, c1 in pl.c.items():
-                for k2, c2 in pl.c.items():
-                    key = (k1, k2)
-                    nv = rhs.get(key, RF0) + bl * c1 * c2
-                    if nv:
-                        rhs[key] = nv
-                    else:
-                        rhs.pop(key, None)
-        ok = ok and lhs == rhs
+    ok = all(ok for _, ok in verify_cauchy_suite(4))
     _verdict("8 (Cauchy kernel through degree 4)", ok)
 
 
@@ -199,7 +185,7 @@ def test_criterion_11_schur_positive_matrix_elements():
                         ok = False
                         continue
                     ok = ok and all(x >= 0 and x.denominator == 1
-                                    for x in c.poly_coeffs())
+                                    for x in _poly_coeffs(c))
     _verdict("11 (matrix elements are nonneg integer z-polynomials)", ok)
 
 

@@ -3,9 +3,14 @@ from fractions import Fraction
 import pytest
 
 from hilbeuler.partitions import (arm_leg, as_partition, cells, conjugate,
-                                  contains, multiplicities,
-                                  part_multiplicity_partition, partitions_of,
+                                  contains, multiplicities, partitions_of,
                                   partitions_up_to, size, zee)
+
+
+def part_multiplicity_partition(mu, n):
+    """The partition whose parts are the multiset {m_i(mu)}, m_0 included."""
+    ms = [m for _, m in multiplicities(mu, n) if m > 0]
+    return tuple(sorted(ms, reverse=True))
 
 
 def dominates(lam, mu):

@@ -6,7 +6,8 @@ import pytest
 from constant_term_by_fractions import geometric_z1z2
 from hilbeuler.ratfunc import RF1, RationalFunction1
 from hilbeuler.series import BiSeries, geometric
-from hilbeuler.xlaurent import XLaurent
+from hilbeuler.symfunc import SymFunc
+from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
 
 
@@ -148,3 +149,47 @@ def test_constant_term():
     x = XLaurent(2, {(0, 0): 3, (1, -1): 2})
     assert constant_term(x) == 3
     assert constant_term_nonneg(x) == 3
+
+
+# ---------------------------------------------------------------------------
+# add_terms, the one merge step for sparse dicts
+
+def _random_value(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-2, 2)
+    if kind == 1:
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return RationalFunction1((rng.randint(-1, 1), rng.randint(-1, 1)),
+                             (1, rng.randint(-1, 1)))
+
+
+def test_add_terms_matches_naive_sum():
+    rng = random.Random(17)
+    for _ in range(300):
+        start = {k: v for k, v in ((rng.randint(0, 4), _random_value(rng))
+                                   for _ in range(rng.randint(0, 4))) if v}
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            key, v = rng.randint(0, 4), _random_value(rng)
+            terms.append((key, v))
+            if rng.random() < 0.3:
+                terms.append((key, -v))  # an exact cancellation
+        want = {}
+        for key, v in list(start.items()) + terms:
+            want[key] = want.get(key, 0) + v
+        want = {key: v for key, v in want.items() if v}
+        out = dict(start)
+        got = add_terms(out, terms)
+        assert got is out
+        assert got == want
+        assert all(got.values())
+
+
+def test_sum_with_negative_is_empty():
+    a = SymFunc("s", {(2, 1): 3, (1,): RationalFunction1((1, -1))})
+    assert (a + (-a)).c == {}
+    b = BiSeries(3, {(0, 1): 2, (2, 2): Fraction(1, 3)})
+    assert (b + (-b)).c == {}
+    x = XLaurent(2, {(1, -1): 2, (0, 0): Fraction(-1, 2)})
+    assert (x + (-x)).c == {}
