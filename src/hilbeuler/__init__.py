@@ -12,8 +12,7 @@ from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
                       schur_positive, to_finite_vars)
 from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, expand_in_P, hl_P, hl_Q,
-                              jing_J, k_exponent, matrix_element, psi,
-                              verify_lemma)
+                              jing_J, k_exponent, psi, verify_lemma)
 from .euler import (DEFAULT_CONVENTION, EulerResult, GuardError,
                     cross_check, euler_constant_term, euler_localization,
                     euler_theorem, evaluate, fixed_point_data, omega,

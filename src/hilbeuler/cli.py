@@ -110,6 +110,9 @@ def cmd_chi(args, out=None):
         for m1, m2, (a, b), v1, v2 in report.mismatches:
             sys.stderr.write("mismatch at z1^%d z2^%d: %s=%s %s=%s\n"
                              % (a, b, m1, v1, m2, v2))
+        for check, method, (a, b), v in report.failed_checks():
+            sys.stderr.write("%s fails at z1^%d z2^%d: %s=%s\n"
+                             % (check, a, b, method, v))
         return 0 if report.passed else 1
     result = evaluate(args.method, f, args.n, args.max_deg, args.convention)
     _emit_table(out, result.series, args.max_deg, args.format, meta)

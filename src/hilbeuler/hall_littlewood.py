@@ -210,12 +210,6 @@ def expand_in_P(f):
     return out
 
 
-def matrix_element(f, nu, mu):
-    """Coefficient of P_nu in f * P_mu."""
-    nu, mu = as_partition(nu), as_partition(mu)
-    return expand_in_P(multiply(f, hl_P(mu))).get(nu, RF0)
-
-
 def psi(mu, lam):
     """Pieri coefficient: coefficient of P_mu in h_{|mu|-|lam|} * P_lam."""
     mu, lam = as_partition(mu), as_partition(lam)

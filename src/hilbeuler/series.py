@@ -108,14 +108,6 @@ class BiSeries:
     def __hash__(self):
         return hash((self.order, frozenset(self.c.items())))
 
-    def shift(self, da, db):
-        """Multiply by z1^da * z2^db (da, db >= 0)."""
-        s = BiSeries(self.order)
-        for (a, b), v in self.c.items():
-            if a + da <= self.order and b + db <= self.order:
-                s.c[(a + da, b + db)] = v
-        return s
-
     def coeff(self, a, b):
         return self.c.get((a, b), Fraction(0))
 

@@ -24,6 +24,15 @@ def geometric_z1z2(order):
     return BiSeries(order, {(k, k): ONE for k in range(order + 1)})
 
 
+def shift(s, da, db):
+    """s times z1^da * z2^db (da, db >= 0)."""
+    out = BiSeries(s.order)
+    for (a, b), v in s.c.items():
+        if a + da <= s.order and b + db <= s.order:
+            out.c[(a + da, b + db)] = v
+    return out
+
+
 @lru_cache(maxsize=None)
 def pair_kernel(order):
     """Bilateral expansion in u = x_i/x_j of the ordered-pair factors
@@ -131,7 +140,7 @@ def constant_term_by_fractions(f, n, order):
         raise_cost = sum(-x for x in v if x < 0)
         if raise_cost > order:
             continue
-        shifted = shifted + bs.shift(raise_cost, raise_cost)
+        shifted = shifted + shift(bs, raise_cost, raise_cost)
     total = shifted * (geometric_z1z2(order) ** n)
     prefactor = ((BiSeries.const(order, ONE)
                   - BiSeries.monomial(order, 1, 1, ONE))

@@ -60,6 +60,38 @@ def test_chi_all_reports_mismatches_on_stderr(capsys, monkeypatch):
         % (want, want + 1)]
 
 
+def test_chi_all_names_failed_property_checks_on_stderr(capsys,
+                                                       monkeypatch):
+    argv = ("chi", "--f", "s[2]", "--n", "2", "--max-deg", "3",
+            "--method", "all", "--format", "csv")
+    evaluate = euler.evaluate
+
+    def negative_at_1_2(*args):
+        res = evaluate(*args)
+        res.series.c[(1, 2)] = -1
+        return res
+
+    # every evaluator agrees on a table that is neither symmetric nor
+    # nonnegative, which s[2] (Schur-positive, constant coefficients) needs
+    monkeypatch.setattr(euler, "evaluate", negative_at_1_2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "1,2,-1\n" in out
+    assert err.splitlines() == [
+        "symmetry fails at z1^1 z2^2: theorem=-1",
+        "nonnegativity fails at z1^1 z2^2: theorem=-1"]
+
+
+def test_chi_all_does_not_require_symmetry_for_hall_littlewood_atoms(capsys):
+    # Q[3] has p-coefficients in z1, and its chi is not symmetric in z1, z2
+    code, out, err = run_cli(capsys, "chi", "--f", "Q[3]", "--n", "2",
+                             "--max-deg", "2", "--method", "all",
+                             "--format", "csv")
+    assert code == 0
+    assert "0,2,4\n" in out and "2,0,1\n" in out
+    assert err == ""
+
+
 def test_chi_parse_error(capsys):
     code, out, err = run_cli(capsys, "chi", "--f", "s[1,2]", "--n", "1")
     assert code == 2

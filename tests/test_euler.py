@@ -1,10 +1,13 @@
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
-from hilbeuler.euler import (GuardError, WedgeSeries, _holomorphic_part,
+from hilbeuler.euler import (GuardError, WedgeSeries, _delta_kernel,
+                             _holomorphic_part, _pair_kernel, _raise_cost,
                              _wedge_inverse_factor, _wedge_poly_factor,
                              _z_valuation, cross_check, euler_constant_term,
                              euler_localization, euler_theorem, evaluate,
@@ -358,3 +361,58 @@ def test_constant_term_equals_fraction_oracle():
             assert all(got.coeff(a, b) == want.coeff(a, b)
                        for a in range(d + 1) for b in range(d + 1)), \
                 (expr, n, d)
+
+
+# ---------------------------------------------------------------------------
+# the per-orbit delta kernel against every pair product in full
+
+@lru_cache(maxsize=None)
+def pair_products_in_full(n, order):
+    """Product of pair kernels over all unordered variable pairs, as an
+    XLaurent in x_1..x_n with BiSeries coefficients."""
+    acc = XLaurent.const(n, BiSeries.const(order, 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = {}
+            for (m,), bs in _pair_kernel(order).c.items():
+                w = [0] * n
+                w[i], w[j] = m, -m
+                pair[tuple(w)] = bs
+            acc = acc * XLaurent(n, pair)
+    return acc
+
+
+def delta_kernel_by_full_products(n, order, slack):
+    """The delta kernel with every pair product taken in full. Entries that
+    cannot be raised back into the nonnegative orthant within the remaining
+    budget are dropped."""
+    return XLaurent(n, {w: bs for w, bs
+                        in pair_products_in_full(n, order).c.items()
+                        if sum(-x for x in w if x < 0) <= order + slack})
+
+
+def test_delta_kernel_orbits_equal_full_product_oracle():
+    # the kernel unfolded over each orbit is the oracle with every entry
+    # truncated at its cap; entries the truncation empties are dropped
+    cases = [(n, D, slack) for n in (1, 2, 3) for D in range(6)
+             for slack in range(4)] + [(3, 7, 2)]
+    for n, D, slack in cases:
+        want = delta_kernel_by_full_products(n, D, slack).c
+        unfolded = {}
+        for w, bs in _delta_kernel(n, D, slack).items():
+            assert list(w) == sorted(w, reverse=True), (n, D, slack, w)
+            assert bs
+            for u in permutations(w):
+                unfolded[u] = bs
+        assert set(unfolded) <= set(want), (n, D, slack)
+        for u, full in want.items():
+            cap = min(D, D + slack - _raise_cost(u))
+            assert (unfolded.get(u, BiSeries(cap))
+                    == BiSeries(cap, full.c)), (n, D, slack, u)
+
+
+def test_constant_term_equals_localization_at_n3_D7():
+    for expr in ("s[2,1]", "P[2,1]+2*Q[1]", "p[2]-s[1,1]"):
+        f = to_symfunc(parse(expr))
+        assert (euler_constant_term(f, 3, 7).series
+                == euler_localization(f, 3, 7).series), expr

@@ -8,10 +8,10 @@ from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
                                        gamma_plus,
                                        gaussian_binomial, hl_P, hl_Q,
                                        hl_q_row, jing_J, k_exponent,
-                                       matrix_element, pieri_e, psi,
-                                       verify_lemma, z_bracket,
+                                       pieri_e, psi, verify_lemma, z_bracket,
                                        z_multinomial)
-from hilbeuler.partitions import partitions_of, partitions_up_to, zee
+from hilbeuler.partitions import (as_partition, conjugate, partitions_of,
+                                  partitions_up_to, zee)
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
                                hl_inner, multiply, to_p)
@@ -228,6 +228,12 @@ def test_expand_in_P_round_trip():
     assert exp[(1, 1)] == RationalFunction1((1, 1))
 
 
+def matrix_element(f, nu, mu):
+    """Coefficient of P_nu in f * P_mu."""
+    nu, mu = as_partition(nu), as_partition(mu)
+    return expand_in_P(multiply(f, hl_P(mu))).get(nu, RF0)
+
+
 def test_matrix_element():
     p1 = SymFunc.element("p", (1,))
     assert matrix_element(p1, (1, 1), (1,)) == RationalFunction1((1, 1))
@@ -251,6 +257,22 @@ def test_k_exponent():
     for mu in partitions_up_to(4):
         for nu in partitions_up_to(4):
             assert k_exponent(mu, nu) == k_exponent(nu, mu)
+
+
+def test_z1_shift_is_a_sum_of_binomials():
+    # |mu| + k(mu, nu) = sum_i C(nu'_i - mu'_i, 2) >= 0, so no term of the
+    # summation formula has a negative power of z1
+    parts = partitions_up_to(8)
+    assert len(parts) ** 2 == 4489
+    for mu in parts:
+        mc = conjugate(mu)
+        for nu in parts:
+            nc = conjugate(nu)
+            width = max(len(mc), len(nc))
+            diffs = [(nc[i] if i < len(nc) else 0)
+                     - (mc[i] if i < len(mc) else 0) for i in range(width)]
+            assert (sum(mu) + k_exponent(mu, nu)
+                    == sum(d * (d - 1) // 2 for d in diffs)), (mu, nu)
 
 
 def test_k_recursion():

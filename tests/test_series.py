@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from constant_term_by_fractions import geometric_z1z2
+from constant_term_by_fractions import geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1
 from hilbeuler.series import BiSeries, geometric
 from hilbeuler.symfunc import SymFunc
@@ -69,8 +69,8 @@ def test_symmetry_and_shift():
     assert s.is_symmetric()
     s2 = BiSeries(3, {(1, 0): 2})
     assert not s2.is_symmetric()
-    assert s2.shift(1, 2) == BiSeries(3, {(2, 2): 2})
-    assert s2.shift(3, 0) == BiSeries(3)
+    assert shift(s2, 1, 2) == BiSeries(3, {(2, 2): 2})
+    assert shift(s2, 3, 0) == BiSeries(3)
 
 
 def test_nonneg_integral():
