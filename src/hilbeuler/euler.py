@@ -17,7 +17,7 @@ from math import factorial
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
 from .ratfunc import RationalFunction1, padd, pmul, rf_expand
-from .series import BiSeries, geometric
+from .series import BiSeries, PackedLayout, geometric
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
@@ -39,6 +39,22 @@ MAX_N = 6
 
 class GuardError(ValueError):
     pass
+
+
+def check_guards(method, n, order, force=False):
+    """Raise GuardError if the evaluator named method refuses n points at
+    max degree order. Each evaluator calls it before any work, and
+    cross_check calls it for every requested method before running any."""
+    if n < 1:
+        raise GuardError("n must be >= 1")
+    if order < 0:
+        raise GuardError("max degree must be >= 0")
+    if method == "constant-term" and n > MAX_N_CONSTANT_TERM and not force:
+        raise GuardError("constant-term evaluator refuses n > %d (only the "
+                         "API can override: euler_constant_term(..., "
+                         "force=True))" % MAX_N_CONSTANT_TERM)
+    if n > MAX_N:
+        raise GuardError("%s evaluator refuses n > %d" % (method, MAX_N))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +285,7 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
     prod (1 - z1^k)); `_apply_coefficients` then multiplies in c_lam, which
     is a rational function of z1 for P/Q atoms.
     """
-    if n < 1:
-        raise GuardError("n must be >= 1")
-    if order < 0:
-        raise GuardError("max degree must be >= 0")
-    if n > MAX_N:
-        raise GuardError("localization evaluator refuses n > %d" % MAX_N)
+    check_guards("localization", n, order)
     t0 = time.monotonic()
     fp = to_p(f)
     shifts = {lam: _z_valuation(c) for lam, c in fp.c.items()}
@@ -318,16 +329,6 @@ def _pair_kernel(order):
     return acc
 
 
-def _pair_in(i, j, n, order):
-    """The pair kernel in u = x_i/x_j, as an XLaurent in x_1..x_n."""
-    pair = {}
-    for (m,), bs in _pair_kernel(order).c.items():
-        w = [0] * n
-        w[i], w[j] = m, -m
-        pair[tuple(w)] = bs
-    return XLaurent(n, pair)
-
-
 def _raise_cost(v):
     """z1z2-degree that Omega(z1z2 X) spends raising x^v into the
     nonnegative orthant."""
@@ -358,40 +359,53 @@ def _delta_kernel(n, order, slack):
     cap(w) = min(order, order + slack - raise_cost(w)) in z1 or z2 therefore
     leave the window, and a vector with raise_cost(w) > order + slack
     contributes nothing. So all pair products but the last are taken in
-    full, and the last one only at sorted targets within that budget, each
-    truncated at its cap (truncation in z commutes with the product, so the
-    pair kernel of order cap is the truncated one). An entry that vanishes
-    below its cap is left out.
+    full, and the last one only at sorted targets within that budget; each
+    entry is read at its cap (truncation in z commutes with the product).
+    An entry that vanishes below its cap is left out.
+
+    Packing: every series is one int of `PackedLayout(order, B)`, slot
+    (a, b) at bit B*(a*(2*order + 1) + b), so a pair term is one int
+    multiply. The products into one target are summed untruncated, then cut
+    back to the window by ((p + BIAS) & KEEP) - KEEP_BIAS, which is exact
+    while every slot has absolute value below 2^(B-1).
+
+    Bit width: let L = sum_m ||K_m||_1 over the order-D pair kernel K. The
+    l1 norm of a product is at most the product of the l1 norms, and
+    truncation only drops terms, so after k pair products an entry, a sum
+    over the choices (m_1..m_k) that reach it of truncated products of
+    K_m_i, has ||.||_1 <= sum over all choices of prod ||K_m_i||_1 = L^k;
+    the same sum bounds the untruncated products summed into it. So every
+    slot is bounded by L^#pairs, and B = (L^#pairs).bit_length() + 1
+    suffices (B = 43 for n = 3, D = 7).
     """
     budget = order + slack
-    acc = XLaurent.const(n, BiSeries.const(order, 1))
+    pair = _pair_kernel(order).c
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs[:-1]:
-        acc = acc * _pair_in(i, j, n, order)
-    if not pairs:
-        return dict(acc.c)
-    i, j = pairs[-1]
-    sources = {}
-    for v in acc.c:
-        for (m,) in _pair_kernel(order).c:
-            w = list(v)
-            w[i] += m
-            w[j] -= m
-            w = tuple(w)
-            if (all(w[k] >= w[k + 1] for k in range(n - 1))
-                    and _raise_cost(w) <= budget):
-                sources.setdefault(w, []).append((v, m))
+    bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
+    bound **= len(pairs)
+    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout.check(bound)
+    packed = [(m, layout.pack(bs)) for (m,), bs in pair.items()]
+    acc = {(0,) * n: 1}
+    for i, j in pairs:
+        last = (i, j) == pairs[-1]
+        out = {}
+        for v, x in acc.items():
+            for m, y in packed:
+                w = list(v)
+                w[i] += m
+                w[j] -= m
+                w = tuple(w)
+                if last and not (all(w[k] >= w[k + 1] for k in range(n - 1))
+                                 and _raise_cost(w) <= budget):
+                    continue
+                out[w] = out.get(w, 0) + x * y
+        acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
     kern = {}
-    for w, vms in sources.items():
-        cap = min(order, budget - _raise_cost(w))
-        pair = _pair_kernel(cap).c
-        total = {}
-        for v, m in vms:
-            if (m,) in pair:
-                prod = BiSeries(cap, acc.c[v].c) * pair[(m,)]
-                add_terms(total, prod.c.items())
-        if total:
-            kern[w] = BiSeries(cap, total)
+    for w, p in acc.items():
+        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
+        if bs:
+            kern[w] = bs
     return kern
 
 
@@ -408,16 +422,7 @@ def euler_constant_term(f, n, order, force=False):
     sum_u K[u] phi(u) with phi(u) = sum_t [x^t]p_lam (z1z2)^raise_cost(u+t),
     is the sum over orbit representatives w of orbit_size(w) K[w] phi(w).
     """
-    if n < 1:
-        raise GuardError("n must be >= 1")
-    if order < 0:
-        raise GuardError("max degree must be >= 0")
-    if n > MAX_N_CONSTANT_TERM and not force:
-        raise GuardError("constant-term evaluator refuses n > %d (only the "
-                         "API can override: euler_constant_term(..., "
-                         "force=True))" % MAX_N_CONSTANT_TERM)
-    if n > MAX_N:
-        raise GuardError("constant-term evaluator refuses n > %d" % MAX_N)
+    check_guards("constant-term", n, order, force)
     t0 = time.monotonic()
     fp = to_p(f)
     kern = _delta_kernel(n, order, fp.degree())
@@ -476,12 +481,7 @@ def euler_theorem(f, n, order):
     = sum_i C(nu'_i - mu'_i, 2) is never negative and every term is a
     power series in z1.
     """
-    if n < 1:
-        raise GuardError("n must be >= 1")
-    if order < 0:
-        raise GuardError("max degree must be >= 0")
-    if n > MAX_N:
-        raise GuardError("theorem evaluator refuses n > %d" % MAX_N)
+    check_guards("theorem", n, order)
     t0 = time.monotonic()
     fe = convert(to_p(f), "e")
     # numerators per e_rho: z2-degree m -> Laurent polynomial in z1, summed
@@ -586,8 +586,11 @@ class CrossCheckReport:
 def cross_check(f, n, order, methods=("theorem", "localization",
                                       "constant-term"),
                 convention=DEFAULT_CONVENTION):
-    """Run the requested evaluators and compare them coefficient by
-    coefficient; failures are report content, not exceptions."""
+    """Check the guards of every requested evaluator, so a refusal comes
+    before any work, then run them and compare coefficient by coefficient;
+    failures are report content, not exceptions."""
+    for method in methods:
+        check_guards(method, n, order)
     results = {}
     for method in methods:
         results[method] = evaluate(method, f, n, order, convention)

@@ -5,6 +5,9 @@ int.
 
 The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
+
+`PackedLayout` packs an integer series of the window into one Python int
+(Kronecker substitution), so a product is one big-int multiply.
 """
 
 from fractions import Fraction
@@ -138,3 +141,72 @@ def geometric(order, axis):
         s.c[(k, 0) if axis == 1 else (0, k)] = 1
     return s
 
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed integer series
+
+class PackedLayout:
+    """Integer series of the window 0 <= a, b <= order, each packed into
+    one Python int (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009).
+
+    Slot (a, b) holds a signed integer at bit B*(a*(2*order + 1) + b), so a
+    packed series is its value at z2 = 2^B, z1 = 2^(B*(2*order + 1)), and
+    sums and products are int + and *. A row is 2*order + 1 slots wide, so
+    the product of two packed series, whose slots fill 0 <= a, b <= 2*order,
+    never carries one row into the next. Every slot, of a packed series, of
+    a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
+    `check` asserts a bound on them.
+
+    `truncate` cuts a product back to the window in three int operations,
+    ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every slot up to
+    (2*order, 2*order), which makes each slot a digit in [0, 2^B), so no
+    borrow crosses a slot; KEEP masks the window's digits and KEEP_BIAS
+    takes their bias back off.
+    """
+
+    __slots__ = ("bits", "stride", "bias", "keep", "keep_bias")
+
+    def __init__(self, order, bits):
+        self.bits = bits
+        self.stride = 2 * order + 1
+        half, digit = 1 << (bits - 1), (1 << bits) - 1
+        self.bias = self.keep = self.keep_bias = 0
+        for a in range(self.stride):
+            for b in range(self.stride):
+                at = self._at(a, b)
+                self.bias |= half << at
+                if a <= order and b <= order:
+                    self.keep |= digit << at
+                    self.keep_bias |= half << at
+
+    def _at(self, a, b):
+        return self.bits * (a * self.stride + b)
+
+    def check(self, bound):
+        """Assert that a slot holds every integer of absolute value at
+        most bound."""
+        assert bound < 1 << (self.bits - 1), \
+            "slot width %d too small for bound %d" % (self.bits, bound)
+
+    def pack(self, series):
+        """The int of an integer BiSeries of this layout's order."""
+        return sum(v << self._at(a, b) for (a, b), v in series.c.items())
+
+    def truncate(self, p):
+        """The packed product p with every slot beyond the window cut."""
+        return ((p + self.bias) & self.keep) - self.keep_bias
+
+    def unpack(self, p, cap):
+        """BiSeries of order cap <= order of the slots a, b <= cap of p, a
+        packed series or an untruncated product."""
+        q = p + self.bias
+        half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
+        coeffs = {}
+        for a in range(cap + 1):
+            row = q >> self._at(a, 0)
+            for b in range(cap + 1):
+                v = ((row >> self.bits * b) & digit) - half
+                if v:
+                    coeffs[(a, b)] = v
+        return BiSeries(cap, coeffs)

@@ -118,6 +118,26 @@ def test_chi_constant_term_guard_names_no_cli_option(capsys):
         assert "euler_constant_term(..., force=True)" in err
 
 
+def test_chi_all_checks_every_guard_before_any_evaluator(capsys,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an evaluator ran before the guards")
+
+    for name in ("euler_theorem", "euler_localization",
+                 "euler_constant_term"):
+        monkeypatch.setattr(euler, name, refuse)
+    # the first refusal in method order: constant-term at n = 4, theorem
+    # at n = 7
+    for n, line in (
+            ("4", "error: guard: constant-term evaluator refuses n > 3 "
+                  "(only the API can override: euler_constant_term(..., "
+                  "force=True))\n"),
+            ("7", "error: guard: theorem evaluator refuses n > 6\n")):
+        code, out, err = run_cli(capsys, "chi", "--f", "s[2,1]", "--n", n,
+                                 "--max-deg", "14", "--method", "all")
+        assert (code, out, err) == (2, "", line)
+
+
 def test_chi_negative_max_deg_is_a_guard_error(capsys):
     for fmt in ("json", "pretty"):
         code, out, err = run_cli(capsys, "chi", "--f", "s[1]", "--n", "2",

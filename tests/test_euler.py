@@ -396,6 +396,8 @@ def test_delta_kernel_orbits_equal_full_product_oracle():
     # truncated at its cap; entries the truncation empties are dropped
     cases = [(n, D, slack) for n in (1, 2, 3) for D in range(6)
              for slack in range(4)] + [(3, 7, 2)]
+    # n = 4: six pair products, and a wider slot than any n = 3 kernel
+    cases += [(4, D, slack) for D in range(4) for slack in range(4)]
     for n, D, slack in cases:
         want = delta_kernel_by_full_products(n, D, slack).c
         unfolded = {}

@@ -5,7 +5,7 @@ import pytest
 
 from constant_term_by_fractions import geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1
-from hilbeuler.series import BiSeries, geometric
+from hilbeuler.series import BiSeries, PackedLayout, geometric
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
@@ -193,3 +193,71 @@ def test_sum_with_negative_is_empty():
     assert (b + (-b)).c == {}
     x = XLaurent(2, {(1, -1): 2, (0, 0): Fraction(-1, 2)})
     assert (x + (-x)).c == {}
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed integer series against BiSeries.__mul__
+
+#: slot width of the packed tests: 2^(B-1) - 1 = 4095 = 63 * 65
+BITS = 13
+TOP = (1 << (BITS - 1)) - 1
+
+
+def _l1(s):
+    return sum(abs(v) for v in s.c.values())
+
+
+def _random_int_series(rng, order, norm, nterms):
+    """Integer BiSeries of l1 norm exactly norm, on up to nterms distinct
+    monomials with random signs."""
+    window = [(a, b) for a in range(order + 1) for b in range(order + 1)]
+    keys = rng.sample(window, min(nterms, len(window), norm))
+    cuts = sorted(rng.sample(range(1, norm), len(keys) - 1))
+    parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [norm])]
+    return BiSeries(order, {k: rng.choice((1, -1)) * v
+                            for k, v in zip(keys, parts)})
+
+
+def _packed(layout, x, y):
+    return layout.pack(x) * layout.pack(y)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 9])
+def test_packed_product_equals_biseries_product(order):
+    rng = random.Random(order)
+    layout = PackedLayout(order, BITS)
+    corners = [(0, 0), (0, order), (order, 0), (order, order)]
+    # single monomials put +-TOP in one slot, in the window and beyond it
+    pairs = [(BiSeries(order, {k1: 63}), BiSeries(order, {k2: sign * 65}))
+             for k1 in corners for k2 in corners for sign in (1, -1)]
+    divisors = [d for d in range(1, TOP + 1) if TOP % d == 0]
+    for _ in range(150):
+        nx = rng.choice(divisors)
+        # l1 norms whose product is exactly TOP, or below it
+        ny = TOP // nx if rng.random() < 0.5 else rng.randint(1, TOP // nx)
+        pairs.append((_random_int_series(rng, order, nx, rng.randint(1, 12)),
+                      _random_int_series(rng, order, ny, rng.randint(1, 12))))
+    for x, y in pairs:
+        layout.check(_l1(x) * _l1(y))
+        want = x * y
+        p = _packed(layout, x, y)
+        assert layout.unpack(layout.truncate(p), order) == want
+        # untruncated products unpack at every cap as the truncated series
+        for cap in range(order + 1):
+            assert layout.unpack(p, cap) == BiSeries(cap, want.c)
+    # sums of untruncated products truncate once, as the kernel does
+    for (x, y), (u, v) in zip(pairs[::2], pairs[1::2]):
+        if _l1(x) * _l1(y) + _l1(u) * _l1(v) <= TOP:
+            p = _packed(layout, x, y) + _packed(layout, u, v)
+            assert layout.unpack(layout.truncate(p), order) == x * y + u * v
+
+
+def test_packed_layout_check_rejects_bounds_its_slots_cannot_hold():
+    layout = PackedLayout(3, BITS)
+    layout.check(TOP)
+    with pytest.raises(AssertionError):
+        layout.check(TOP + 1)
+    # the check is tight: a slot of 2^(B-1) breaks the product
+    x, y = BiSeries(3, {(1, 1): 64}), BiSeries(3, {(1, 2): 64})
+    assert _l1(x) * _l1(y) == TOP + 1
+    assert layout.unpack(layout.truncate(_packed(layout, x, y)), 3) != x * y
