@@ -3,10 +3,11 @@
 The evaluators are independent up to their last step: fixed-point
 localization (iterated Laurent expansion, z2 outermost), the quiver
 constant-term formula (nonnegative-orthant pairing), and the
-Hall-Littlewood summation formula. Each reduces every basis element of f to
-an integer Laurent table in z1, z2; `_apply_coefficients` then multiplies in
-f's coefficients, which are rational in z1. A cross-check driver compares
-the three coefficient by coefficient.
+Hall-Littlewood summation formula. Each builds, for every basis element of
+f, a `WedgeSeries` in integers and expands it into a Laurent table in z1,
+z2 with `WedgeSeries.expand`; `_apply_coefficients` then multiplies in f's
+coefficients, which are rational in z1, and nothing comes after it. A
+cross-check driver compares the three coefficient by coefficient.
 """
 
 import time
@@ -16,8 +17,8 @@ from itertools import groupby
 from math import factorial
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import RationalFunction1, padd, pmul, rf_expand
-from .series import BiSeries, PackedLayout, geometric
+from .ratfunc import padd, pmul, rf_expand
+from .series import BiSeries, PackedLayout
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
@@ -239,37 +240,29 @@ class EulerResult:
 # ---------------------------------------------------------------------------
 # f's coefficients, applied once for every evaluator
 
-def _z_valuation(r):
-    """The power of z1 that divides the nonzero rational function r."""
-    return (next(i for i, v in enumerate(r.num) if v)
-            - next(i for i, v in enumerate(r.den) if v))
-
-
 def _apply_coefficients(tables, coeffs, order):
     """BiSeries of sum over lam of coeffs[lam] * tables[lam].
 
     Each table is {(a, b): int}, a Laurent table in z1 that must be exact
-    for a <= order - v, where v is the z1-valuation of coeffs[lam], a
-    rational function of z1. Each coefficient is expanded once at z1 = 0,
-    and the sum must be holomorphic there.
+    for a <= order. Each coefficient, a rational function of z1, is
+    expanded once at z1 = 0 by `rf_expand`: it is regular there, because
+    f's grammar has no bare z and the P/Q atoms only bring denominators
+    that are products of (1 - z1^k), so a product term at a <= order needs
+    table entries at a <= order only. The sum must be holomorphic at
+    z1 = 0.
     """
     # inline per-term kernel: every table entry meets every term of its
     # coefficient's expansion; zeros are dropped once, by _holomorphic_part
     total = {}
     for lam, table in tables.items():
-        table = {key: v for key, v in table.items() if v}
         if not table:
             continue
-        # c = z1^s * r with r regular and expanded once at z1 = 0
-        c = coeffs[lam]
-        s = _z_valuation(c)
         lo = min(a for a, _ in table)
-        r = rf_expand(RationalFunction1(c.num[max(s, 0):], c.den[max(-s, 0):]),
-                      order - s - lo)
+        r = rf_expand(coeffs[lam], order - lo)
         for (a, b), v in table.items():
-            for i, w in enumerate(r[:order - s - a + 1]):
+            for i, w in enumerate(r[:order - a + 1]):
                 if w:
-                    key = (a + s + i, b)
+                    key = (a + i, b)
                     total[key] = total.get(key, 0) + v * w
     return _holomorphic_part(total, order)
 
@@ -288,7 +281,6 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
     check_guards("localization", n, order)
     t0 = time.monotonic()
     fp = to_p(f)
-    shifts = {lam: _z_valuation(c) for lam, c in fp.c.items()}
     sums = {lam: {} for lam in fp.c}
     for mu in partitions_of(n):
         data = fixed_point_data(mu, convention)
@@ -297,8 +289,7 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
             term = om
             for k in lam:
                 term = term * _power_sum(data.taut_char, k, order)
-            for key, v in term.expand(order - shifts[lam]).items():
-                acc[key] = acc.get(key, 0) + v
+            add_terms(acc, term.expand(order).items())
     series = _apply_coefficients(sums, fp.c, order)
     return EulerResult("localization", series, n, order,
                        time.monotonic() - t0, convention)
@@ -414,7 +405,10 @@ def euler_constant_term(f, n, order, force=False):
 
     For each p_lam of f the kernel times p_lam(x_1..x_n) is summed over the
     nonnegative orthant in integers, with the Omega(z1z2 X) factor
-    supplying the monomials that raise exponents into it;
+    supplying the monomials that raise exponents into it. Omega(z1z2 X)
+    times (1 - z1z2)^n is exactly 1 in the window, so the prefactor left
+    is Omega(n z1 + n z2) = 1/((1 - z1)(1 - z2))^n; each table is
+    multiplied by it as a wedge series and expanded, and
     `_apply_coefficients` then multiplies in c_lam / n!.
 
     The kernel, p_lam and the raise cost are all invariant under S_n, so
@@ -426,25 +420,26 @@ def euler_constant_term(f, n, order, force=False):
     t0 = time.monotonic()
     fp = to_p(f)
     kern = _delta_kernel(n, order, fp.degree())
+    prefactor = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order)
     tables = {}
     for lam in fp.c:
         monomials = p_in_x(lam, n, 1).c.items()
-        table = {}
+        # z2-degree -> z1-degree -> int, summed inline per term; the
+        # WedgeSeries constructor drops zeros once
+        rows = {}
         for w, bs in kern.items():
             # orbit_size(w) * phi(w), as z1z2-degree -> int
             weight = _orbit_size(w)
             phi = add_terms({}, ((_raise_cost([a + b for a, b in zip(w, t)]),
                                   weight * c) for t, c in monomials))
             for k, c in phi.items():
-                add_terms(table, (((a + k, b + k), c * v)
-                                  for (a, b), v in bs.c.items()
-                                  if a + k <= order and b + k <= order))
-        tables[lam] = table
+                for (a, b), v in bs.c.items():
+                    if a + k <= order and b + k <= order:
+                        row = rows.setdefault(b + k, {})
+                        row[a + k] = row.get(a + k, 0) + c * v
+        tables[lam] = (WedgeSeries(order, rows) * prefactor).expand(order)
     coeffs = {lam: c / factorial(n) for lam, c in fp.c.items()}
-    # Omega(z1z2 X) times (1 - z1z2)^n is exactly 1 in the window, so only
-    # 1/((1 - z1)(1 - z2))^n is left to multiply in
-    prefactor = (geometric(order, 1) * geometric(order, 2)) ** n
-    series = _apply_coefficients(tables, coeffs, order) * prefactor
+    series = _apply_coefficients(tables, coeffs, order)
     return EulerResult("constant-term", series, n, order,
                        time.monotonic() - t0)
 
@@ -499,7 +494,7 @@ def euler_theorem(f, n, order):
                     for i, v in enumerate(pmul(c, z_multinomial(nu, n))):
                         num[shift + i] = num.get(shift + i, 0) + v
     tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
-              .expand(order - _z_valuation(c)) for rho, c in fe.c.items()}
+              .expand(order) for rho in fe.c}
     series = _apply_coefficients(tables, fe.c, order)
     return EulerResult("theorem", series, n, order, time.monotonic() - t0)
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 from .symfunc import SymFunc
 
-ATOM_BASES = ("s", "p", "h", "e", "m", "P", "Q")
-
 
 class ParseError(ValueError):
     def __init__(self, message, pos):

@@ -23,10 +23,6 @@ def size(mu):
     return sum(mu)
 
 
-def length(mu):
-    return len(mu)
-
-
 def conjugate(mu):
     """Transpose of the Young diagram."""
     if not mu:

@@ -2,11 +2,12 @@
 
 Polynomials are dense tuples indexed by degree. RationalFunction1 values are
 always normalized: gcd(num, den) = 1 as polynomials, integer coefficients
-with coprime contents, and positive leading denominator coefficient.
+whose joint content (the gcd of every coefficient of num and den) is 1, and
+a positive lowest-degree nonzero denominator coefficient.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +106,6 @@ def peval(p, x):
     return v
 
 
-def _to_primitive_int(p):
-    """Scale a rational-coefficient poly to integer coefficients; return
-    (int_poly, multiplier) with int_poly = p * multiplier."""
-    p = [Fraction(c) for c in p]
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    return tuple(int(c * den_lcm) for c in p), den_lcm
-
-
 class RationalFunction1:
     """Exact ratio of integer-coefficient polynomials in one parameter."""
 
@@ -131,26 +122,17 @@ class RationalFunction1:
         if pdegree(g) > 0:
             num, _ = pdivmod(num, g)
             den, _ = pdivmod(den, g)
-        num, mn = _to_primitive_int(num)
-        den, md = _to_primitive_int(den)
-        # overall rational scale: num/mn over den/md -> (num*md)/(den*mn)
-        cn = 0
-        for c in num:
-            cn = int_gcd(cn, abs(c))
-        cd = 0
-        for c in den:
-            cd = int_gcd(cd, abs(c))
-        num = tuple(c // cn for c in num)
-        den = tuple(c // cd for c in den)
-        a, b = md * cn, mn * cd  # value = (a*num)/(b*den)
-        g2 = int_gcd(a, b)
-        a, b = a // g2, b // g2
-        num = tuple(c * a for c in num)
-        den = tuple(c * b for c in den)
-        # sign convention: first nonzero denominator coefficient positive
+        # one scale clears every denominator; dividing by the joint content,
+        # negated if the lowest nonzero denominator coefficient is negative,
+        # applies the sign rule
+        scale = lcm(*(c.denominator for c in num + den))
+        num = [int(c * scale) for c in num]
+        den = [int(c * scale) for c in den]
+        content = int_gcd(*num, *den)
         if next(c for c in den if c) < 0:
-            num, den = pneg(num), pneg(den)
-        self.num, self.den = num, den
+            content = -content
+        self.num = tuple(c // content for c in num)
+        self.den = tuple(c // content for c in den)
 
     # -- constructors -------------------------------------------------------
     @classmethod

@@ -93,16 +93,6 @@ class BiSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = BiSeries.const(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
@@ -132,14 +122,6 @@ class BiSeries:
         terms = ", ".join("z1^%d*z2^%d: %s" % (a, b, v)
                           for (a, b), v in self.items_sorted())
         return "BiSeries(D=%d, {%s})" % (self.order, terms)
-
-
-def geometric(order, axis):
-    """Sum of z_axis^k over the window (axis 1 or 2)."""
-    s = BiSeries(order)
-    for k in range(order + 1):
-        s.c[(k, 0) if axis == 1 else (0, k)] = 1
-    return s
 
 
 # ---------------------------------------------------------------------------

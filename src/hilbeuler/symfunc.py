@@ -177,7 +177,6 @@ def p_in_m_matrix(d):
 def _invert_matrix(mat, keys):
     """Invert a dict-of-dicts Fraction matrix over the given key order."""
     n = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
     a = [[Fraction(mat.get(r, {}).get(c, 0)) for c in keys] for r in keys]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -199,23 +198,7 @@ def _invert_matrix(mat, keys):
             if inv[r][c]:
                 row[kc] = inv[r][c]
         out[kr] = row
-    return out, idx
-
-
-@lru_cache(maxsize=None)
-def m_in_p_matrix(d):
-    """Coefficient of p_lam in m_mu (inverse of p_in_m_matrix)."""
-    keys = tuple(partitions_of(d))
-    # transpose convention: we need M with M[mu][lam] such that
-    # m_mu = sum_lam M[mu][lam] p_lam; p_lam = sum_mu R[lam][mu] m_mu,
-    # so M = R^{-1} transposed appropriately.
-    r = p_in_m_matrix(d)
-    inv, _ = _invert_matrix(r, keys)
-    # inv satisfies sum_nu inv[lam][nu] * r[nu][mu] = delta; then
-    # m_mu = sum_lam inv_T... derive: p = R m  =>  m = R^{-1} p.
-    # R[lam][mu]: row lam of p in m. As vectors: p_lam = sum R[lam][mu] m_mu.
-    # Then m_mu = sum_lam (R^{-1})[mu][lam] p_lam.
-    return inv
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +281,7 @@ def _basis_in_p_matrix(basis, d):
     if basis == "s":
         return {k: s_in_p(k) for k in keys}
     if basis == "m":
-        return m_in_p_matrix(d)
+        return _invert_matrix(p_in_m_matrix(d), keys)
     raise ValueError(basis)
 
 
@@ -308,8 +291,7 @@ def _p_in_basis_matrix(basis, d):
     keys = tuple(partitions_of(d))
     if basis == "m":
         return p_in_m_matrix(d)
-    inv, _ = _invert_matrix(_basis_in_p_matrix(basis, d), keys)
-    return inv
+    return _invert_matrix(_basis_in_p_matrix(basis, d), keys)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +311,7 @@ def to_p(f):
     for lam, coef in f.c.items():
         d = sum(lam)
         _check_degree(d)
-        if f.basis == "m":
-            row = m_in_p_matrix(d)[lam]
-        else:
-            row = _basis_in_p_matrix(f.basis, d)[lam]
+        row = _basis_in_p_matrix(f.basis, d)[lam]
         add_terms(out.c, ((k, coef * frac) for k, frac in row.items()))
     return out
 

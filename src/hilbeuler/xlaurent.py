@@ -42,10 +42,6 @@ class XLaurent:
     def const(cls, nvars, value):
         return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def monomial(cls, nvars, exps, value):
-        return cls(nvars, {tuple(exps): value})
-
     def __bool__(self):
         return bool(self.c)
 

@@ -13,10 +13,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from hilbeuler.series import BiSeries, geometric
+from hilbeuler.series import BiSeries
 from hilbeuler.symfunc import to_finite_vars, to_p
 
 ONE = Fraction(1)
+
+
+def geometric(order, axis):
+    """Sum of z_axis^k over the window (axis 1 or 2)."""
+    return BiSeries(order, {(k, 0) if axis == 1 else (0, k): ONE
+                            for k in range(order + 1)})
+
+
+def power(s, n):
+    """The BiSeries s to the n-th power, n >= 0."""
+    out = BiSeries.const(s.order, ONE)
+    for _ in range(n):
+        out = out * s
+    return out
 
 
 def geometric_z1z2(order):
@@ -141,8 +155,8 @@ def constant_term_by_fractions(f, n, order):
         if raise_cost > order:
             continue
         shifted = shifted + shift(bs, raise_cost, raise_cost)
-    total = shifted * (geometric_z1z2(order) ** n)
-    prefactor = ((BiSeries.const(order, ONE)
-                  - BiSeries.monomial(order, 1, 1, ONE))
-                 * geometric(order, 1) * geometric(order, 2)) ** n
+    total = shifted * power(geometric_z1z2(order), n)
+    prefactor = power((BiSeries.const(order, ONE)
+                       - BiSeries.monomial(order, 1, 1, ONE))
+                      * geometric(order, 1) * geometric(order, 2), n)
     return total * prefactor * Fraction(1, factorial(n))

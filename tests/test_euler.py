@@ -9,7 +9,7 @@ import localization_by_rational_functions as oracle
 from hilbeuler.euler import (GuardError, WedgeSeries, _delta_kernel,
                              _holomorphic_part, _pair_kernel, _raise_cost,
                              _wedge_inverse_factor, _wedge_poly_factor,
-                             _z_valuation, cross_check, euler_constant_term,
+                             cross_check, euler_constant_term,
                              euler_localization, euler_theorem, evaluate,
                              fixed_point_data, omega, partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
@@ -199,6 +199,16 @@ def test_constant_term_force_override():
     assert got.series == Z[4]
 
 
+def test_coefficient_with_a_pole_at_z1_zero_is_refused():
+    # the expression grammar cannot write z, so every coefficient it makes
+    # is regular at z1 = 0; one with a pole only comes from the API, and
+    # every evaluator refuses it when it expands the coefficient
+    f = SymFunc("p", {(1,): RationalFunction1.z_power(-1)})
+    for method in ("theorem", "localization", "constant-term"):
+        with pytest.raises(ValueError, match="not expandable at origin"):
+            evaluate(method, f, 2, 3)
+
+
 def test_wedge_series_arithmetic():
     D = 3
     a = oracle.WedgeSeries(D, {0: RF1, 1: RationalFunction1.z_power(1)})
@@ -232,7 +242,9 @@ def _rf_laurent(ws, hi):
     the rational-function oracle."""
     out = {}
     for b, rf in ws.c.items():
-        s = _z_valuation(rf)
+        # s is the power of z1 that divides rf
+        s = (next(i for i, v in enumerate(rf.num) if v)
+             - next(i for i, v in enumerate(rf.den) if v))
         r = RationalFunction1(rf.num[max(s, 0):], rf.den[max(-s, 0):])
         for i, v in enumerate(rf_expand(r, hi - s)):
             if v:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,27 @@ def test_normalization():
     # denominator sign convention: first nonzero coefficient positive
     r = RationalFunction1((1,), (0, -1))
     assert r.den[1] > 0
+    rng = random.Random(2012)
+
+    def poly():
+        return [rng.choice((0, rng.randint(-6, 6),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+                for _ in range(rng.randint(1, 4))]
+
+    for _ in range(400):
+        a, b, g = poly(), poly(), poly()
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                     rng.randint(1, 30))
+        if not any(b) or not any(g):
+            continue
+        r = RationalFunction1(a, b)
+        coeffs = r.num + r.den
+        assert all(type(v) is int for v in coeffs)
+        assert gcd(*coeffs) == 1
+        assert next(v for v in r.den if v) > 0
+        # a common polynomial factor times a rational scale cancels
+        gc = [v * c for v in g]
+        assert RationalFunction1(pmul(a, gc), pmul(b, gc)) == r
 
 
 def test_arithmetic_matches_fraction_eval():

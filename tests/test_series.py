@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from constant_term_by_fractions import geometric_z1z2, shift
+from constant_term_by_fractions import geometric, geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1
-from hilbeuler.series import BiSeries, PackedLayout, geometric
+from hilbeuler.series import BiSeries, PackedLayout
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
