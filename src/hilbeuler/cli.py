@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .euler import (DEFAULT_CONVENTION, GuardError, cross_check,
                     euler_theorem, evaluate, partition_function)
@@ -259,7 +260,10 @@ def cmd_hl(args, out=None):
 # ---------------------------------------------------------------------------
 # entry point
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="hilbeuler",
         description="Exact equivariant Euler characteristics on Hilbert "

@@ -334,6 +334,17 @@ def _orbit_size(w):
     return size
 
 
+def _can_end_sorted(w, i, budget):
+    """Whether w, whose coordinates 0..i are final, can still end as a
+    sorted (descending) vector of raise cost at most budget: w[0..i] is
+    sorted, w[i] is at least the mean of the rest, and the raise cost of
+    w[0..i] plus that of the rest's sum is within budget."""
+    rest = sum(w[i + 1:])
+    return (all(w[k] >= w[k + 1] for k in range(i))
+            and w[i] * (len(w) - i - 1) >= rest
+            and _raise_cost(w[:i + 1]) + max(0, -rest) <= budget)
+
+
 @lru_cache(maxsize=None)
 def _delta_kernel(n, order, slack):
     """Product of pair kernels over all unordered variable pairs, one entry
@@ -349,10 +360,29 @@ def _delta_kernel(n, order, slack):
     raise_cost(w + t) >= raise_cost(w) - slack. Its terms of degree above
     cap(w) = min(order, order + slack - raise_cost(w)) in z1 or z2 therefore
     leave the window, and a vector with raise_cost(w) > order + slack
-    contributes nothing. So all pair products but the last are taken in
-    full, and the last one only at sorted targets within that budget; each
-    entry is read at its cap (truncation in z commutes with the product).
-    An entry that vanishes below its cap is left out.
+    contributes nothing. Each entry is read at its cap (truncation in z
+    commutes with the product); one that vanishes below its cap is left
+    out.
+
+    Pruning: the pairs run in row order (0, 1), ..., (0, n-1), (1, 2), ...,
+    and pair (i, j) adds m to coordinate i and takes it from coordinate j.
+    Once row i ends with pair (i, n-1), no later pair touches coordinates
+    0..i, and the later pairs keep the sum r of coordinates i+1..n-1. So a
+    target w of that pair reaches only final vectors w' with w'[k] = w[k]
+    for k <= i and w'[i+1] + ... + w'[n-1] = r, and a product into w is
+    taken only if some such w' is sorted within budget. For such a w':
+    w[0] >= ... >= w[i] because they are its first entries; w[i] >= w'[i+1]
+    >= r/(n-i-1), because the first entry of a sorted suffix is at least its
+    mean; and raise_cost(w') = raise_cost(w[0..i]) + sum_{k>i} max(0, -w'[k])
+    >= raise_cost(w[0..i]) + max(0, -r). These are the three conditions of
+    `_can_end_sorted`; a target failing one reaches only vectors the
+    kernel leaves out, so dropping it changes no entry. Pairs that end no
+    row are not filtered. The last pair (n-2, n-1) ends the last row, and
+    its m is solved for instead of tried: w[n-2] = v[n-2] + m >= w[n-1] =
+    v[n-1] - m holds exactly for m >= ceil((v[n-1] - v[n-2])/2), and, for
+    n > 2, w[n-3] = v[n-3] >= w[n-2] exactly for m <= v[n-3] - v[n-2]; the
+    earlier rows have made w[0..n-3] sorted, so only the raise cost is
+    still tested.
 
     Packing: every series is one int of `PackedLayout(order, B)`, slot
     (a, b) at bit B*(a*(2*order + 1) + b), so a pair term is one int
@@ -365,9 +395,9 @@ def _delta_kernel(n, order, slack):
     truncation only drops terms, so after k pair products an entry, a sum
     over the choices (m_1..m_k) that reach it of truncated products of
     K_m_i, has ||.||_1 <= sum over all choices of prod ||K_m_i||_1 = L^k;
-    the same sum bounds the untruncated products summed into it. So every
-    slot is bounded by L^#pairs, and B = (L^#pairs).bit_length() + 1
-    suffices (B = 43 for n = 3, D = 7).
+    the same sum bounds the untruncated products summed into it, and
+    pruning only drops choices. So every slot is bounded by L^#pairs, and
+    B = (L^#pairs).bit_length() + 1 suffices (B = 43 for n = 3, D = 7).
     """
     budget = order + slack
     pair = _pair_kernel(order).c
@@ -376,21 +406,29 @@ def _delta_kernel(n, order, slack):
     bound **= len(pairs)
     layout = PackedLayout(order, bound.bit_length() + 1)
     layout.check(bound)
-    packed = [(m, layout.pack(bs)) for (m,), bs in pair.items()]
+    packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
+    top = max(packed)
     acc = {(0,) * n: 1}
     for i, j in pairs:
         last = (i, j) == pairs[-1]
         out = {}
         for v, x in acc.items():
-            for m, y in packed:
+            ms = packed
+            if last:
+                lo = max(-top, -((v[i] - v[j]) // 2))
+                hi = min(top, v[i - 1] - v[i]) if i else top
+                ms = [m for m in range(lo, hi + 1) if m in packed]
+            for m in ms:
                 w = list(v)
                 w[i] += m
                 w[j] -= m
                 w = tuple(w)
-                if last and not (all(w[k] >= w[k + 1] for k in range(n - 1))
-                                 and _raise_cost(w) <= budget):
+                if last:
+                    if _raise_cost(w) > budget:
+                        continue
+                elif j == n - 1 and not _can_end_sorted(w, i, budget):
                     continue
-                out[w] = out.get(w, 0) + x * y
+                out[w] = out.get(w, 0) + x * packed[m]
         acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
     kern = {}
     for w, p in acc.items():

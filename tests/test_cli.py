@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import hilbeuler
 from hilbeuler import euler
 from hilbeuler.cli import main, symfunc_str
 from hilbeuler.symfunc import SymFunc, convert
@@ -203,6 +207,39 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "chi", "--f", "1", "--n", "1",
                    "--method", "bogus")[0] == 2
     assert run_cli(capsys, "hl", "poly", "--lambda", "2,3")[0] == 2
+
+
+def test_one_parser_per_process_answers_like_fresh_processes():
+    # main reuses one parser for every call in a process; an error call,
+    # a valid call and another error call must each print and exit as the
+    # same call does in a process of its own
+    calls = [["chi", "--n", "2"],
+             ["chi", "--f", "s[2,1]", "--n", "2", "--max-deg", "2"],
+             ["chi", "--f", "s[1]", "--n", "two"]]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(hilbeuler.__file__)))
+    one_process = (
+        "import contextlib, io, json, sys\n"
+        "from hilbeuler.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n")
+    run = subprocess.run([sys.executable, "-c", one_process,
+                          json.dumps(calls)], env=env, capture_output=True,
+                         text=True, check=True)
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "hilbeuler.cli"] + argv,
+                              env=env, capture_output=True, text=True)
+        fresh.append([proc.returncode, proc.stdout, proc.stderr])
+    assert json.loads(run.stdout) == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 2]
+    assert fresh[0][2] and fresh[1][1] and fresh[2][2]
 
 
 def test_symfunc_str():

@@ -1,25 +1,26 @@
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
-from hilbeuler.euler import (GuardError, WedgeSeries, _delta_kernel,
-                             _holomorphic_part, _pair_kernel, _raise_cost,
-                             _wedge_inverse_factor, _wedge_poly_factor,
-                             cross_check, euler_constant_term,
-                             euler_localization, euler_theorem, evaluate,
-                             fixed_point_data, omega, partition_function)
+from hilbeuler.euler import (GuardError, WedgeSeries, _can_end_sorted,
+                             _delta_kernel, _holomorphic_part, _pair_kernel,
+                             _raise_cost, _wedge_inverse_factor,
+                             _wedge_poly_factor, cross_check,
+                             euler_constant_term, euler_localization,
+                             euler_theorem, evaluate, fixed_point_data, omega,
+                             partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
                                        k_exponent)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1, rf_expand
-from hilbeuler.series import BiSeries
+from hilbeuler.series import BiSeries, PackedLayout
 from hilbeuler.symfunc import SymFunc, multiply, to_p
-from hilbeuler.xlaurent import XLaurent
+from hilbeuler.xlaurent import XLaurent, add_terms
 
 GEO = RF1 / RationalFunction1((1, -1))
 ONE = SymFunc.one()
@@ -423,6 +424,76 @@ def test_delta_kernel_orbits_equal_full_product_oracle():
             cap = min(D, D + slack - _raise_cost(u))
             assert (unfolded.get(u, BiSeries(cap))
                     == BiSeries(cap, full.c)), (n, D, slack, u)
+
+
+def delta_kernel_unpruned(n, order, slack):
+    """The per-orbit packed delta kernel with every pair product but the
+    last taken in full, and the last one tried at every m and kept only at
+    sorted targets within the budget."""
+    budget = order + slack
+    pair = _pair_kernel(order).c
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
+    bound **= len(pairs)
+    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout.check(bound)
+    packed = [(m, layout.pack(bs)) for (m,), bs in pair.items()]
+    acc = {(0,) * n: 1}
+    for i, j in pairs:
+        last = (i, j) == pairs[-1]
+        out = {}
+        for v, x in acc.items():
+            for m, y in packed:
+                w = list(v)
+                w[i] += m
+                w[j] -= m
+                w = tuple(w)
+                if last and not (all(w[k] >= w[k + 1] for k in range(n - 1))
+                                 and _raise_cost(w) <= budget):
+                    continue
+                out[w] = out.get(w, 0) + x * y
+        acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
+    kern = {}
+    for w, p in acc.items():
+        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
+        if bs:
+            kern[w] = bs
+    return kern
+
+
+def test_pruned_delta_kernel_equals_unpruned_oracle():
+    cases = [(n, D, slack) for n in (1, 2, 3, 4) for D in range(5)
+             for slack in range(4)] + [(3, 7, 2), (3, 9, 3)]
+    for n, D, slack in cases:
+        want = delta_kernel_unpruned(n, D, slack)
+        got = _delta_kernel(n, D, slack)
+        assert set(got) == set(want), (n, D, slack)
+        for w, bs in want.items():
+            assert (got[w].order, got[w].c) == (bs.order, bs.c), \
+                (n, D, slack, w)
+
+
+def test_row_end_pruning_keeps_every_sorted_vector_within_budget():
+    # a sorted vector of sum 0 and raise cost <= budget is a possible final
+    # kernel entry, so it must pass at every row end (i, n-1), whatever the
+    # later pairs do to its coordinates beyond i
+    for n in (2, 3, 4):
+        for D in range(5):
+            span = range(-(D + 2), D + 3)
+            vectors = [w[::-1] for w in combinations_with_replacement(span, n)
+                       if sum(w) == 0]
+            for slack in range(4):
+                budget = D + slack
+                for w in vectors:
+                    if _raise_cost(w) <= budget:
+                        assert all(_can_end_sorted(w, i, budget)
+                                   for i in range(n - 1)), (w, budget)
+
+
+def test_forced_constant_term_equals_localization_at_n5():
+    f = to_symfunc(parse("s[2,1]"))
+    assert (euler_constant_term(f, 5, 3, force=True).series
+            == euler_localization(f, 5, 3).series)
 
 
 def test_constant_term_equals_localization_at_n3_D7():
