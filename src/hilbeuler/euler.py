@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
+from math import comb, factorial, prod
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import padd, pmul, rf_expand
-from .series import BiSeries, PackedLayout
+from .ratfunc import rf_expand
+from .series import BiSeries, PackedLayout, check_width, unpack
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
@@ -27,7 +27,7 @@ from .xlaurent import XLaurent, add_terms
 # the three evaluators and _delta_kernel by name; euler_localization calls
 # the first three through those names, so a traced run counts them.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
-                              pieri_e, z_multinomial)
+                              packed_e_times_P, packed_z_multinomial)
 
 #: orientation of the fixed-point weight data; frozen by the calibration
 #: test against the partition-function product for n = 1, 2, 3.
@@ -306,18 +306,28 @@ def _pair_kernel(order):
 
     as an XLaurent in u with BiSeries coefficients, each z-geometric factor
     truncated at the window order.
+
+    The eight factors are XLaurents of ints of one `PackedLayout`, each
+    product truncated to the window, and each coefficient is unpacked once.
+    The l1 norm of a product is at most the product of the l1 norms, and
+    truncation only drops terms, so every slot of every partial product and
+    sum is bounded by 2^4 (order + 1)^4: four binomials of norm 2 and four
+    geometric series of order + 1 terms.
     """
-    one = BiSeries.const(order, 1)
-    acc = XLaurent.const(1, one)
-    for c in (one, BiSeries.monomial(order, 1, 1)):
-        for u in (1, -1):
-            acc = acc * XLaurent(1, {(0,): one, (u,): -c})
-    for a, b in ((1, 0), (0, 1)):
-        for u in (1, -1):
-            acc = acc * XLaurent(1, {(u * k,): BiSeries.monomial(order, a * k,
-                                                                 b * k)
-                                     for k in range(order + 1)})
-    return acc
+    bound = 16 * (order + 1) ** 4
+    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout.check(bound)
+
+    def term(a, b):
+        return layout.pack(BiSeries.monomial(order, a, b))
+
+    factors = [{(0,): 1, (u,): -term(a, a)} for a in (0, 1) for u in (1, -1)]
+    factors += [{(u * k,): term(a * k, b * k) for k in range(order + 1)}
+                for a, b in ((1, 0), (0, 1)) for u in (1, -1)]
+    acc = XLaurent.const(1, 1)
+    for fac in factors:
+        acc = (acc * XLaurent(1, fac)).map_coeffs(layout.truncate)
+    return acc.map_coeffs(lambda p: layout.unpack(p, order))
 
 
 def _raise_cost(v):
@@ -485,16 +495,47 @@ def euler_constant_term(f, n, order, force=False):
 # ---------------------------------------------------------------------------
 # evaluator 3: the Hall-Littlewood summation formula
 
-def _e_times_P(rho, mu, n):
-    """e_rho * P_mu on the P_nu with len(nu) <= n: dict nu -> int poly."""
-    out = {mu: (1,)}
-    for r in rho:
-        nxt = {}
-        for lam, c in out.items():
-            for nu, cn in pieri_e(lam, r, n).items():
-                nxt[nu] = padd(nxt.get(nu, (0,)), pmul(c, cn))
-        out = nxt
-    return out
+def _theorem_bound(rhos, n, order):
+    """Bound on every coefficient that the packed theorem path holds:
+    max over rho of e_rho(1^n) h_order(1^n), that is
+    prod_i C(n, rho_i) * C(order + n - 1, n - 1).
+
+    At z = 1, P_lam is the monomial function m_lam, so <e_rho P_mu, Q_nu>
+    is the coefficient of m_nu in e_rho m_mu, and [n]_z / b_{nu,n} is
+    m_nu(1^n). The numerator terms of (rho, m) therefore sum at z = 1 to
+    sum over mu |- m of e_rho(1^n) m_mu(1^n) = e_rho(1^n) h_m(1^n), which
+    grows with m. Every Gaussian binomial, Pieri coefficient and
+    z-multinomial has nonnegative coefficients and a value of at least 1
+    at z = 1, and every Pieri step with r <= n has a target (the first r
+    rows can grow), while rho's parts run largest first, so a part r > n
+    ends its chain before any product. Each factor, partial product and
+    partial sum is thus coefficientwise at most the numerator it goes into,
+    and each coefficient of that is at most its value at z = 1.
+    """
+    return max((prod(comb(n, r) for r in rho) for rho in rhos),
+               default=0) * comb(order + n - 1, n - 1)
+
+
+def _theorem_numerators(rhos, n, order, bits):
+    """The numerators over [n]_z1 of the summation formula for each e_rho:
+    rho -> z2-degree m -> polynomial in z1 packed at slot width bits, which
+    must hold `_theorem_bound`. A term's z1^shift is a shift by bits*shift,
+    and no term is unpacked."""
+    check_width(bits, _theorem_bound(rhos, n, order))
+    nums = {rho: {} for rho in rhos}
+    for m in range(order + 1):
+        for mu in partitions_of(m, n):
+            shifts = {}
+            for rho, by_m in nums.items():
+                num = by_m.get(m, 0)
+                for nu, c in packed_e_times_P(rho, mu, n, bits).items():
+                    shift = shifts.get(nu)
+                    if shift is None:
+                        shift = shifts[nu] = m + k_exponent(mu, nu)
+                    num += (c * packed_z_multinomial(nu, n, bits)
+                            << bits * shift)
+                by_m[m] = num
+    return nums
 
 
 def euler_theorem(f, n, order):
@@ -504,9 +545,11 @@ def euler_theorem(f, n, order):
     f is written once in the e-basis, so every matrix element comes from
     the e-Pieri rule as an integer polynomial. Over the common denominator
     [n]_z1 each term is z1^shift * <e_rho P_mu, Q_nu> * [n]_z1 / b_{nu,n},
-    a Laurent polynomial with integer coefficients; per e_rho these form
-    one wedge series over [n]_z1, and `_apply_coefficients` multiplies in
-    the e-coefficients of f.
+    a polynomial with nonnegative integer coefficients. The terms of each
+    (rho, m) are summed as ints packed at one slot width that
+    `_theorem_bound` proves wide enough, and each sum is unpacked once;
+    per e_rho these numerators form one wedge series over [n]_z1, and
+    `_apply_coefficients` multiplies in the e-coefficients of f.
 
     No term needs a holomorphy check of its own: with a = mu'_i and
     b = nu'_i, k(mu, nu) = sum_i [C(a, 2) + C(b, 2) - ab]
@@ -517,22 +560,11 @@ def euler_theorem(f, n, order):
     check_guards("theorem", n, order)
     t0 = time.monotonic()
     fe = convert(to_p(f), "e")
-    # numerators per e_rho: z2-degree m -> Laurent polynomial in z1, summed
-    # inline per term; the WedgeSeries constructor drops zeros once
-    nums = {rho: {} for rho in fe.c}
-    for m in range(order + 1):
-        for mu in partitions_of(m, n):
-            shifts = {}
-            for rho, by_m in nums.items():
-                num = by_m.setdefault(m, {})
-                for nu, c in _e_times_P(rho, mu, n).items():
-                    shift = shifts.get(nu)
-                    if shift is None:
-                        shift = shifts[nu] = m + k_exponent(mu, nu)
-                    for i, v in enumerate(pmul(c, z_multinomial(nu, n))):
-                        num[shift + i] = num.get(shift + i, 0) + v
-    tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
-              .expand(order) for rho in fe.c}
+    bits = _theorem_bound(fe.c, n, order).bit_length() + 1
+    tables = {}
+    for rho, by_m in _theorem_numerators(fe.c, n, order, bits).items():
+        rows = {m: dict(enumerate(unpack(p, bits))) for m, p in by_m.items()}
+        tables[rho] = WedgeSeries(order, rows, range(1, n + 1)).expand(order)
     series = _apply_coefficients(tables, fe.c, order)
     return EulerResult("theorem", series, n, order, time.monotonic() - t0)
 

@@ -9,11 +9,13 @@ the main summation formula, and its defining identity checker.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb, prod
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
-from .ratfunc import RF0, RF1, RationalFunction1, padd, pmul
+from .ratfunc import RF0, RF1, RationalFunction1, padd
+from .series import check_width, pack, unpack
 from .symfunc import SymFunc, _check_degree, hl_inner, multiply, to_p
 from .xlaurent import add_terms
 
@@ -139,11 +141,18 @@ def z_multinomial(lam, n):
     the quotient is the z-multinomial coefficient: a product of Gaussian
     binomials, hence a polynomial.
     """
-    out, left = (1,), n
+    factors, left = [], n
     for _, m in multiplicities(as_partition(lam), n):
-        out = pmul(out, gaussian_binomial(left, m))
+        factors.append((left, m))
         left -= m
-    return out
+    return _gaussian_product(factors)
+
+
+@lru_cache(maxsize=None)
+def packed_z_multinomial(lam, n, bits):
+    """`z_multinomial` packed at slot width bits, which the caller has
+    checked against a bound on its coefficients."""
+    return pack(z_multinomial(lam, n), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +169,23 @@ def gaussian_binomial(a, b):
     # [a ; b] = [a-1 ; b-1] + z^b [a-1 ; b]
     return padd(gaussian_binomial(a - 1, b - 1),
                 (0,) * b + gaussian_binomial(a - 1, b))
+
+
+def _gaussian_product(factors):
+    """prod [a ; b]_z over (a, b) in factors, as an integer coefficient
+    tuple, multiplied as packed ints and unpacked once. Every coefficient
+    of every factor is nonnegative, so none of the product exceeds its
+    value at z = 1, prod C(a, b), and that bound sets the slot width.
+    Only factors with 0 < b < a are multiplied: the others are 1 (b = 0 or
+    b = a) or 0 (b > a, which makes the bound and the product 0)."""
+    bound = prod(comb(a, b) for a, b in factors)
+    bits = bound.bit_length() + 1
+    check_width(bits, bound)
+    p = 1 if bound else 0
+    for a, b in factors:
+        if 0 < b < a:
+            p *= pack(gaussian_binomial(a, b), bits)
+    return unpack(p, bits)
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +212,33 @@ def pieri_e(mu, r, n):
             continue
         lam = tuple(p for p in lam if p)
         lc = conjugate(lam) + (0,)
-        coef = (1,)
-        for i in range(len(lc) - 1):
-            grown = lc[i] - (mc[i] if i < len(mc) else 0)
-            coef = pmul(coef, gaussian_binomial(lc[i] - lc[i + 1], grown))
-        out[lam] = coef
+        out[lam] = _gaussian_product(
+            [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
+             for i in range(len(lc) - 1)])
     return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def packed_pieri_e(mu, r, n, bits):
+    """`pieri_e` with every coefficient packed at slot width bits, which
+    the caller has checked against a bound on them, as a tuple of
+    (lam, int) pairs."""
+    return tuple((lam, pack(c, bits)) for lam, c in pieri_e(mu, r, n).items())
+
+
+def packed_e_times_P(rho, mu, n, bits):
+    """e_rho * P_mu on the P_nu with len(nu) <= n, by the e-Pieri rule one
+    part of rho at a time: dict nu -> integer polynomial packed at slot
+    width bits, which the caller has checked against a bound on every
+    coefficient of the partial products."""
+    out = {mu: 1}
+    for r in rho:
+        nxt = {}
+        for lam, c in out.items():
+            for nu, cn in packed_pieri_e(lam, r, n, bits):
+                nxt[nu] = nxt.get(nu, 0) + c * cn
+        out = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------

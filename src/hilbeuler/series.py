@@ -7,7 +7,9 @@ The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
 
 `PackedLayout` packs an integer series of the window into one Python int
-(Kronecker substitution), so a product is one big-int multiply.
+(Kronecker substitution), so a product is one big-int multiply; `pack` and
+`unpack` do the same for a univariate polynomial with nonnegative integer
+coefficients, and `check_width` asserts that a slot width holds a bound.
 """
 
 from fractions import Fraction
@@ -127,6 +129,31 @@ class BiSeries:
 # ---------------------------------------------------------------------------
 # Kronecker-packed integer series
 
+def check_width(bits, bound):
+    """Assert that a signed slot of width bits holds every integer of
+    absolute value at most bound."""
+    assert bound < 1 << (bits - 1), \
+        "slot width %d too small for bound %d" % (bits, bound)
+
+
+def pack(coeffs, bits):
+    """The int sum_i coeffs[i] * 2^(bits*i) of a coefficient tuple whose
+    entries lie in [0, 2^bits); it is the polynomial's value at z = 2^bits,
+    so products and sums are int * and +."""
+    return sum(v << bits * i for i, v in enumerate(coeffs) if v)
+
+
+def unpack(p, bits):
+    """The coefficient tuple, trimmed, of an int p >= 0 packed by `pack`
+    whose slots all lie in [0, 2^bits)."""
+    assert p >= 0, "a packed polynomial with a negative coefficient"
+    digit, out = (1 << bits) - 1, []
+    while p:
+        out.append(p & digit)
+        p >>= bits
+    return tuple(out) or (0,)
+
+
 class PackedLayout:
     """Integer series of the window 0 <= a, b <= order, each packed into
     one Python int (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
@@ -168,8 +195,7 @@ class PackedLayout:
     def check(self, bound):
         """Assert that a slot holds every integer of absolute value at
         most bound."""
-        assert bound < 1 << (self.bits - 1), \
-            "slot width %d too small for bound %d" % (self.bits, bound)
+        check_width(self.bits, bound)
 
     def pack(self, series):
         """The int of an integer BiSeries of this layout's order."""

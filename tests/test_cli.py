@@ -242,6 +242,25 @@ def test_one_parser_per_process_answers_like_fresh_processes():
     assert fresh[0][2] and fresh[1][1] and fresh[2][2]
 
 
+def test_python_dash_m_hilbeuler_prints_what_main_prints(capsys):
+    # `python -m hilbeuler` runs cli.main: the same exit code and the same
+    # stdout bytes, for a table in every format and for a refused call
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(hilbeuler.__file__)))
+    base = ["chi", "--f", "s[2,1]", "--n", "3", "--max-deg", "3",
+            "--method", "all"]
+    calls = [base + ["--format", fmt] for fmt in ("pretty", "json", "csv")]
+    calls.append(["chi", "--f", "s[1]", "--n", "7"])
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "hilbeuler"] + argv,
+                              env=env, capture_output=True)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert proc.returncode == code, argv
+        assert proc.stdout == out.encode(), argv
+    assert code == 2 and not out
+
+
 def test_symfunc_str():
     assert symfunc_str(convert(hl_P((2,)), "m")) == "m[2] + (1-z)*m[1,1]"
     assert symfunc_str(SymFunc.one()) == "1"

@@ -1,25 +1,28 @@
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+from math import comb, prod
 
 import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
-from hilbeuler.euler import (GuardError, WedgeSeries, _can_end_sorted,
-                             _delta_kernel, _holomorphic_part, _pair_kernel,
-                             _raise_cost, _wedge_inverse_factor,
-                             _wedge_poly_factor, cross_check,
-                             euler_constant_term, euler_localization,
-                             euler_theorem, evaluate, fixed_point_data, omega,
-                             partition_function)
+from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
+                             _can_end_sorted, _delta_kernel,
+                             _holomorphic_part, _pair_kernel, _raise_cost,
+                             _theorem_bound, _theorem_numerators,
+                             _wedge_inverse_factor, _wedge_poly_factor,
+                             cross_check, euler_constant_term,
+                             euler_localization, euler_theorem, evaluate,
+                             fixed_point_data, omega, partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
-                                       k_exponent)
+                                       k_exponent, pieri_e, z_multinomial)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
-from hilbeuler.ratfunc import RF0, RF1, RationalFunction1, rf_expand
-from hilbeuler.series import BiSeries, PackedLayout
-from hilbeuler.symfunc import SymFunc, multiply, to_p
+from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
+                               rf_expand)
+from hilbeuler.series import BiSeries, PackedLayout, unpack
+from hilbeuler.symfunc import SymFunc, convert, multiply, to_p
 from hilbeuler.xlaurent import XLaurent, add_terms
 
 GEO = RF1 / RationalFunction1((1, -1))
@@ -331,6 +334,69 @@ def test_theorem_equals_localization_beyond_degree_bound():
     assert big.is_nonneg_integral()
     assert big.is_symmetric()
     assert big.coeff(12, 12) > 0
+
+
+def theorem_by_tuples(f, n, order):
+    """The summation formula with every matrix element, z-multinomial and
+    numerator kept as an integer coefficient tuple and multiplied term by
+    term: the unpacked form of the theorem evaluator."""
+    fe = convert(to_p(f), "e")
+    nums = {rho: {} for rho in fe.c}
+    for m in range(order + 1):
+        for mu in partitions_of(m, n):
+            for rho, by_m in nums.items():
+                num = by_m.setdefault(m, {})
+                # e_rho * P_mu on the P_nu with len(nu) <= n
+                elements = {mu: (1,)}
+                for r in rho:
+                    nxt = {}
+                    for lam, c in elements.items():
+                        for nu, cn in pieri_e(lam, r, n).items():
+                            nxt[nu] = padd(nxt.get(nu, (0,)), pmul(c, cn))
+                    elements = nxt
+                for nu, c in elements.items():
+                    shift = m + k_exponent(mu, nu)
+                    for i, v in enumerate(pmul(c, z_multinomial(nu, n))):
+                        num[shift + i] = num.get(shift + i, 0) + v
+    tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
+              .expand(order) for rho in fe.c}
+    return _apply_coefficients(tables, fe.c, order)
+
+
+def test_packed_theorem_equals_tuple_oracle():
+    # e-coefficients: positive, mixed-sign, rational in z1, and e[3], whose
+    # chi vanishes at n = 2 (and n = 1)
+    D = 8
+    for expr in ("s[2,1]", "p[2]-s[1,1]", "P[2,1]+2*Q[1]", "e[3]"):
+        f = to_symfunc(parse(expr))
+        for n in range(1, 7):
+            want = theorem_by_tuples(f, n, D)
+            if expr == "e[3]":
+                assert bool(want) == (n > 2), n
+            for d in range(D + 1):
+                got = euler_theorem(f, n, d).series
+                assert got == BiSeries(d, want.c), (expr, n, d)
+
+
+def test_theorem_numerators_sum_to_e_rho_times_h_m_at_one():
+    # at z1 = 1 the numerator of (rho, m) is e_rho(1^n) h_m(1^n)
+    D = 10
+    rhos = partitions_up_to(6)
+    for n in range(1, 7):
+        bits = _theorem_bound(rhos, n, D).bit_length() + 1
+        for rho, by_m in _theorem_numerators(rhos, n, D, bits).items():
+            e_rho = prod(comb(n, r) for r in rho)
+            assert {m: sum(unpack(p, bits)) for m, p in by_m.items()} == {
+                m: e_rho * comb(m + n - 1, n - 1)
+                for m in range(D + 1)}, (n, rho)
+
+
+def test_theorem_width_one_bit_short_of_the_bound_is_refused():
+    for rhos, n, D in ([(2, 1), (3,)], 6, 16), ([()], 1, 0), ([(2,)], 3, 5):
+        bits = _theorem_bound(rhos, n, D).bit_length() + 1
+        _theorem_numerators(rhos, n, D, bits)
+        with pytest.raises(AssertionError, match="slot width"):
+            _theorem_numerators(rhos, n, D, bits - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from constant_term_by_fractions import geometric, geometric_z1z2, shift
-from hilbeuler.ratfunc import RF1, RationalFunction1
-from hilbeuler.series import BiSeries, PackedLayout
+from hilbeuler.ratfunc import RF1, RationalFunction1, pmul
+from hilbeuler.series import BiSeries, PackedLayout, check_width, pack, unpack
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
@@ -261,3 +261,26 @@ def test_packed_layout_check_rejects_bounds_its_slots_cannot_hold():
     x, y = BiSeries(3, {(1, 1): 64}), BiSeries(3, {(1, 2): 64})
     assert _l1(x) * _l1(y) == TOP + 1
     assert layout.unpack(layout.truncate(_packed(layout, x, y)), 3) != x * y
+
+
+def test_packed_nonnegative_polynomial_product_equals_pmul():
+    # value at z = 1 bounds every coefficient of a nonnegative product, so
+    # sum(x) * sum(y) <= TOP is all a slot of BITS bits needs
+    rng = random.Random(2009)
+    divisors = [d for d in range(1, TOP + 1) if TOP % d == 0]
+    for _ in range(300):
+        nx = rng.choice(divisors)
+        ny = TOP // nx if rng.random() < 0.5 else rng.randint(0, TOP // nx)
+        x, y = ([0] * rng.randint(1, 12) for _ in range(2))
+        for poly, norm in ((x, nx), (y, ny)):
+            for i in rng.choices(range(len(poly)), k=norm):
+                poly[i] += 1
+        check_width(BITS, sum(x) * sum(y))
+        assert unpack(pack(x, BITS), BITS) == pmul(x, (1,))
+        assert unpack(pack(x, BITS) * pack(y, BITS), BITS) == pmul(x, y)
+    # a single coefficient at the bound, and one past it
+    assert unpack(pack((63,), BITS) * pack((0, 65), BITS), BITS) == (0, TOP)
+    with pytest.raises(AssertionError):
+        check_width(BITS, TOP + 1)
+    with pytest.raises(AssertionError, match="negative"):
+        unpack(-1, BITS)
