@@ -88,8 +88,10 @@ def _emit_table(out, series, max_deg, fmt, meta, agreement=None):
                                     for a in range(max_deg + 1))
         out.write(header + "\n")
         for b in range(max_deg + 1):
-            vals = " ".join(_coeff_str(series.coeff(a, b)).rjust(width)
-                            for a in range(max_deg + 1))
+            # rows runs over a, then b, so one b's entries are every
+            # (max_deg + 1)-th row
+            vals = " ".join(v.rjust(width)
+                            for _, _, v in rows[b::max_deg + 1])
             out.write("%-4s%s\n" % (b, vals))
         if agreement is not None:
             out.write("agreement: %s\n" % ("MATCH" if agreement

@@ -251,19 +251,22 @@ def _apply_coefficients(tables, coeffs, order):
     table entries at a <= order only. The sum must be holomorphic at
     z1 = 0.
     """
-    # inline per-term kernel: every table entry meets every term of its
-    # coefficient's expansion; zeros are dropped once, by _holomorphic_part
+    # inline per-term kernel: every table entry meets every nonzero term of
+    # its coefficient's expansion up to the window; zeros of the sum are
+    # dropped once, by _holomorphic_part
     total = {}
     for lam, table in tables.items():
         if not table:
             continue
         lo = min(a for a, _ in table)
         r = rf_expand(coeffs[lam], order - lo)
+        terms = [(i, w) for i, w in enumerate(r) if w]
         for (a, b), v in table.items():
-            for i, w in enumerate(r[:order - a + 1]):
-                if w:
-                    key = (a + i, b)
-                    total[key] = total.get(key, 0) + v * w
+            for i, w in terms:
+                if a + i > order:
+                    break
+                key = (a + i, b)
+                total[key] = total.get(key, 0) + v * w
     return _holomorphic_part(total, order)
 
 

@@ -8,7 +8,6 @@ the main summation formula, and its defining identity checker.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, prod
 from types import MappingProxyType
 
@@ -201,21 +200,34 @@ def pieri_e(mu, r, n):
     mu = as_partition(mu)
     if len(mu) > n:
         return MappingProxyType({})
-    rows = mu + (0,) * (n - len(mu))
     mc = conjugate(mu)
     out = {}
-    for added in combinations(range(n), r):
-        lam = list(rows)
-        for i in added:
-            lam[i] += 1
-        if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-            continue
-        lam = tuple(p for p in lam if p)
+    for lam in _vertical_strips(mu + (0,) * (n - len(mu)), r):
         lc = conjugate(lam) + (0,)
         out[lam] = _gaussian_product(
             [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
              for i in range(len(lc) - 1)])
     return MappingProxyType(out)
+
+
+def _vertical_strips(rows, r):
+    """The partitions made from rows, a partition padded with zeros, by
+    adding one cell to each of r rows, in lexicographic order of the grown
+    row indices; none for r < 0. Row i grows only while it stays at most
+    row i-1 as grown, and the search stops when fewer rows are left than
+    cells."""
+    n, out = len(rows), []
+
+    def grow(i, left, lam):
+        if not left:
+            out.append(tuple(p for p in lam + rows[i:] if p))
+        elif 0 < left <= n - i:
+            if not i or rows[i] < lam[-1]:
+                grow(i + 1, left - 1, lam + (rows[i] + 1,))
+            grow(i + 1, left, lam + (rows[i],))
+
+    grow(0, r, ())
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -272,9 +284,17 @@ def psi(mu, lam):
     return val
 
 
+@lru_cache(maxsize=None)
+def _checked_conjugate(mu):
+    """conjugate(as_partition(mu)) for a tuple mu, validated once per
+    distinct mu; a ValueError is raised, and not cached, for every call
+    with an invalid mu."""
+    return conjugate(as_partition(mu))
+
+
 def k_exponent(mu, nu):
     """Integer exponent from the conjugate-partition formula."""
-    mc, nc = conjugate(as_partition(mu)), conjugate(as_partition(nu))
+    mc, nc = _checked_conjugate(tuple(mu)), _checked_conjugate(tuple(nu))
     total = 0
     for i in range(max(len(mc), len(nc))):
         a = mc[i] if i < len(mc) else 0

@@ -118,10 +118,12 @@ class RationalFunction1:
         if pis_zero(num):
             self.num, self.den = (0,), (1,)
             return
-        g = pgcd(num, den)
-        if pdegree(g) > 0:
-            num, _ = pdivmod(num, g)
-            den, _ = pdivmod(den, g)
+        # a nonzero constant on either side makes the gcd 1
+        if len(num) > 1 and len(den) > 1:
+            g = pgcd(num, den)
+            if pdegree(g) > 0:
+                num, _ = pdivmod(num, g)
+                den, _ = pdivmod(den, g)
         # one scale clears every denominator; dividing by the joint content,
         # negated if the lowest nonzero denominator coefficient is negative,
         # applies the sign rule
@@ -226,7 +228,8 @@ class RationalFunction1:
         return peval(self.num, Fraction(x)) / dv
 
     def expand(self, order):
-        """First order+1 Taylor coefficients at the origin."""
+        """First order+1 Taylor coefficients at the origin: ints when the
+        constant term of the denominator is 1, else Fractions."""
         return rf_expand(self, order)
 
     def __repr__(self):
@@ -251,18 +254,20 @@ RF1 = RationalFunction1((1,))
 def rf_expand(r, order):
     """Taylor coefficients c_0..c_order of r about the origin.
 
-    The normalized denominator must not vanish at zero.
+    The normalized denominator must not vanish at zero, so its constant
+    term is positive. When that term is 1 the recurrence never divides and
+    the coefficients are ints; otherwise they are Fractions.
     """
     den = r.den
     if not den[0]:
         raise ValueError("not expandable at origin: denominator %r" % (den,))
-    num, d0 = r.num, Fraction(den[0])
+    num, d0 = r.num, den[0]
     out = []
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] if k < len(num) else 0
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
-        out.append(acc / d0)
+        out.append(acc if d0 == 1 else Fraction(acc, d0))
     return out
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
-                                       ARG_X_ONE_MINUS_Z, LemmaCheck, adams,
+                                       ARG_X_ONE_MINUS_Z, LemmaCheck,
+                                       _gaussian_product, adams,
                                        b_norm, b_norm_finite, expand_in_P,
                                        gamma_plus,
                                        gaussian_binomial, hl_P, hl_Q,
@@ -259,6 +261,19 @@ def test_k_exponent():
             assert k_exponent(mu, nu) == k_exponent(nu, mu)
 
 
+def test_k_exponent_takes_lists_and_keeps_refusing_non_partitions():
+    assert k_exponent([2, 1], [1]) == k_exponent((2, 1), (1,))
+    assert k_exponent([], (3,)) == k_exponent((), (3,))
+    for _ in range(2):
+        # the second round runs with every valid argument already cached
+        for mu, nu in (((1, 2), ()), ((2, 0), (1,)), ((1,), (1, 3)),
+                       ([1, 2], [])):
+            with pytest.raises(ValueError):
+                k_exponent(mu, nu)
+        for mu in partitions_up_to(4):
+            k_exponent(mu, list(mu))
+
+
 def test_z1_shift_is_a_sum_of_binomials():
     # |mu| + k(mu, nu) = sum_i C(nu'_i - mu'_i, 2) >= 0, so no term of the
     # summation formula has a negative power of z1
@@ -324,3 +339,43 @@ def test_pieri_e_equals_vertex_operator_oracle():
                 want = {lam: v for lam, v in full.items() if len(lam) <= n}
                 assert {lam: RationalFunction1(c)
                         for lam, c in got.items()} == want, (mu, r, n)
+
+
+def pieri_e_by_subsets(mu, r, n):
+    """pieri_e by trying every r-subset of the n rows and keeping those
+    that leave a partition."""
+    mu = as_partition(mu)
+    if len(mu) > n:
+        return {}
+    rows = mu + (0,) * (n - len(mu))
+    mc = conjugate(mu)
+    out = {}
+    for added in combinations(range(n), r):
+        lam = list(rows)
+        for i in added:
+            lam[i] += 1
+        if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+            continue
+        lam = tuple(p for p in lam if p)
+        lc = conjugate(lam) + (0,)
+        out[lam] = _gaussian_product(
+            [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
+             for i in range(len(lc) - 1)])
+    return out
+
+
+def test_pieri_e_strips_equal_subset_oracle():
+    cases = 0
+    for mu in partitions_up_to(8):
+        for n in range(1, 7):
+            for r in range(8):
+                want = pieri_e_by_subsets(mu, r, n)
+                got = pieri_e(mu, r, n)
+                # same entries, in the same order
+                assert list(got.items()) == list(want.items()), (mu, r, n)
+                if r > n or len(mu) > n:
+                    assert not got, (mu, r, n)
+                cases += 1
+    assert cases == 67 * 6 * 8
+    # e_r = 0 for r < 0
+    assert not pieri_e((1,), -1, 3)

@@ -1,11 +1,48 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, pgcd, pmul,
-                               poly_str, rf_str)
+from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, pdegree,
+                               pdivmod, pgcd, pis_zero, pmul, poly_str,
+                               ptrim, rf_expand, rf_str)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the constructor that always takes the polynomial gcd, and the
+# Taylor recurrence that always divides as a Fraction
+
+def normalize_by_gcd(num, den):
+    """(num, den) as RationalFunction1 stored them when every construction
+    took pgcd, whatever the degrees."""
+    num, den = ptrim(num), ptrim(den)
+    if pis_zero(num):
+        return (0,), (1,)
+    g = pgcd(num, den)
+    if pdegree(g) > 0:
+        num, _ = pdivmod(num, g)
+        den, _ = pdivmod(den, g)
+    scale = lcm(*(c.denominator for c in num + den))
+    num = [int(c * scale) for c in num]
+    den = [int(c * scale) for c in den]
+    content = gcd(*num, *den)
+    if next(c for c in den if c) < 0:
+        content = -content
+    return (tuple(c // content for c in num),
+            tuple(c // content for c in den))
+
+
+def expand_by_fractions(r, order):
+    """rf_expand with every step in Fraction arithmetic."""
+    num, d0 = r.num, Fraction(r.den[0])
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(r.den) - 1) + 1):
+            acc -= r.den[j] * out[k - j]
+        out.append(acc / d0)
+    return out
 
 
 def test_normalization():
@@ -101,3 +138,51 @@ def test_rendering():
     assert rf_str(RationalFunction1((1, -1))) == "1-z"
     assert rf_str(RF0) == "0"
     assert poly_str((1, 0, -2)) == "1-2*z^2"
+
+
+def _random_poly(rng, degree):
+    """Nonzero-led polynomial of the given degree, ints and Fractions."""
+    p = [rng.choice((0, rng.randint(-6, 6),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+         for _ in range(degree)]
+    return p + [rng.choice((1, -1)) * rng.randint(1, 5)]
+
+
+def test_constructor_equals_always_gcd_oracle():
+    rng = random.Random(11)
+    seen = {"const num": 0, "const den": 0, "both >= 1": 0}
+    for _ in range(600):
+        kind = rng.choice(sorted(seen))
+        dn = 0 if kind == "const num" else rng.randint(1, 4)
+        dd = 0 if kind == "const den" else rng.randint(1, 4)
+        num, den = _random_poly(rng, dn), _random_poly(rng, dd)
+        if kind == "both >= 1" and rng.random() < 0.5:
+            # a shared factor, so the gcd has positive degree
+            g = _random_poly(rng, rng.randint(1, 2))
+            num, den = pmul(num, g), pmul(den, g)
+        r = RationalFunction1(num, den)
+        assert (r.num, r.den) == normalize_by_gcd(num, den), (num, den)
+        seen[kind] += 1
+    assert min(seen.values()) > 150, seen
+
+
+def test_expand_equals_fraction_oracle_and_is_int_for_unit_constant_term():
+    rng = random.Random(12)
+    seen = {1: 0, ">1": 0}
+    for _ in range(400):
+        num = [rng.randint(-7, 7) for _ in range(rng.randint(1, 4))]
+        den = [rng.choice((1, rng.randint(1, 6)))]
+        den += [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+        r = RationalFunction1(num, den)
+        if not r.den[0]:
+            continue
+        order = rng.randint(0, 9)
+        got = rf_expand(r, order)
+        assert got == expand_by_fractions(r, order), (r, order)
+        assert r.expand(order) == got
+        if r.den[0] == 1:
+            assert all(type(v) is int for v in got), (r, got)
+            seen[1] += 1
+        else:
+            seen[">1"] += 1
+    assert min(seen.values()) > 50, seen
