@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .euler import (DEFAULT_CONVENTION, GuardError, cross_check,
+from .euler import (DEFAULT_CONVENTION, METHODS, GuardError, cross_check,
                     euler_theorem, evaluate, partition_function)
 from .fexpr import ParseError, parse, render, to_symfunc
 from .finite_inner import hl_inner_finite
@@ -24,7 +24,8 @@ from .hall_littlewood import (b_norm, b_norm_finite, hl_P, jing_J,
                               k_exponent, verify_lemma)
 from .partitions import partitions_of, partitions_up_to, zee
 from .ratfunc import RF0, RF1, RationalFunction1, rf_str
-from .symfunc import DegreeBoundError, SymFunc, convert, hl_inner, to_p
+from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
+                      hl_inner, to_p)
 from .xlaurent import add_terms
 
 log = logging.getLogger(__name__)
@@ -206,8 +207,22 @@ def verify_kprop_suite(max_size):
     yield "kprop recursion size<=%d" % max_size, ok_rec
 
 
+def _check_verify_args(args):
+    """Raise GuardError for a size or n the suite cannot run, before any
+    case is built or written."""
+    if args.suite in ("lemma", "orthogonality", "cauchy") and \
+            not 0 <= args.max_size <= DEGREE_BOUND:
+        raise GuardError("--max-size must be in 0..%d" % DEGREE_BOUND)
+    if args.suite == "kprop" and args.max_size < 0:
+        raise GuardError("--max-size must be >= 0")
+    if args.suite == "orthogonality" and not 1 <= args.n <= 3:
+        raise GuardError("--n must be in 1..3 (the finite inner product "
+                         "is exact for n <= 3 only)")
+
+
 def cmd_verify(args, out=None):
     out = out or sys.stdout
+    _check_verify_args(args)
     if args.suite == "lemma":
         cases = verify_lemma_suite(args.max_size)
     elif args.suite == "orthogonality":
@@ -283,8 +298,7 @@ def build_parser():
     chi.add_argument("--max-deg", type=int, default=5,
                      help="truncation degree in each of z1, z2 (default 5)")
     chi.add_argument("--method", default="theorem",
-                     choices=["theorem", "localization", "constant-term",
-                              "all"])
+                     choices=[*METHODS, "all"])
     chi.add_argument("--format", default="pretty",
                      choices=["json", "csv", "pretty"])
     chi.add_argument("--convention", default=DEFAULT_CONVENTION,

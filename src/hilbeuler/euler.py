@@ -27,11 +27,14 @@ from .xlaurent import XLaurent, add_terms
 # the three evaluators and _delta_kernel by name; euler_localization calls
 # the first three through those names, so a traced run counts them.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
-                              packed_e_times_P, packed_z_multinomial)
+                              packed_e_times_P, z_multinomial)
 
 #: orientation of the fixed-point weight data; frozen by the calibration
 #: test against the partition-function product for n = 1, 2, 3.
 DEFAULT_CONVENTION = "row"
+
+#: the evaluators, by the names `evaluate` and the CLI take
+METHODS = ("theorem", "localization", "constant-term")
 
 #: honest desk-scale guards
 MAX_N_CONSTANT_TERM = 3
@@ -513,7 +516,10 @@ def _theorem_bound(rhos, n, order):
     rows can grow), while rho's parts run largest first, so a part r > n
     ends its chain before any product. Each factor, partial product and
     partial sum is thus coefficientwise at most the numerator it goes into,
-    and each coefficient of that is at most its value at z = 1.
+    and each coefficient of that is at most its value at z = 1. Both
+    summands of the q-Pascal recurrence [a;b] = [a-1;b-1] + z^b [a-1;b]
+    are coefficientwise at most [a;b], so every intermediate of the
+    Gaussian binomials stays within the bound too.
     """
     return max((prod(comb(n, r) for r in rho) for rho in rhos),
                default=0) * comb(order + n - 1, n - 1)
@@ -535,8 +541,7 @@ def _theorem_numerators(rhos, n, order, bits):
                     shift = shifts.get(nu)
                     if shift is None:
                         shift = shifts[nu] = m + k_exponent(mu, nu)
-                    num += (c * packed_z_multinomial(nu, n, bits)
-                            << bits * shift)
+                    num += (c * z_multinomial(nu, n, bits)) << bits * shift
                 by_m[m] = num
     return nums
 
@@ -597,8 +602,7 @@ def partition_function(n_max, order):
             mono = BiSeries.monomial(order, i, j)
             powers = [BiSeries.const(order, 1)]
             for _ in range(n_max):
-                nxt = powers[-1] * mono
-                powers.append(nxt)
+                powers.append(powers[-1] * mono)
             new = [BiSeries(order) for _ in range(n_max + 1)]
             for t in range(n_max + 1):
                 for k in range(t + 1):
@@ -651,24 +655,20 @@ class CrossCheckReport:
         return self.agree and not self.failed_checks()
 
 
-def cross_check(f, n, order, methods=("theorem", "localization",
-                                      "constant-term"),
-                convention=DEFAULT_CONVENTION):
+def cross_check(f, n, order, methods=METHODS, convention=DEFAULT_CONVENTION):
     """Check the guards of every requested evaluator, so a refusal comes
     before any work, then run them and compare coefficient by coefficient;
     failures are report content, not exceptions."""
     for method in methods:
         check_guards(method, n, order)
-    results = {}
-    for method in methods:
-        results[method] = evaluate(method, f, n, order, convention)
+    results = {method: evaluate(method, f, n, order, convention)
+               for method in methods}
     names = list(results)
     mismatches = []
     base = results[names[0]].series
     for other in names[1:]:
         s = results[other].series
-        keys = set(base.c) | set(s.c)
-        for key in sorted(keys):
+        for key in sorted(set(base.c) | set(s.c)):
             va, vb = base.coeff(*key), s.coeff(*key)
             if va != vb:
                 mismatches.append((names[0], other, key, va, vb))

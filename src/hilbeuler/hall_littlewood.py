@@ -8,13 +8,11 @@ the main summation formula, and its defining identity checker.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
-from types import MappingProxyType
+from math import prod
 
 from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
-from .ratfunc import RF0, RF1, RationalFunction1, padd
-from .series import check_width, pack, unpack
+from .ratfunc import RF0, RF1, RationalFunction1
 from .symfunc import SymFunc, _check_degree, hl_inner, multiply, to_p
 from .xlaurent import add_terms
 
@@ -133,81 +131,64 @@ def b_norm_finite(lam, n):
     return b_norm(lam) * z_bracket(n - len(lam))
 
 
-def z_multinomial(lam, n):
-    """[n]_z / b_{lam,n}(z) as an integer coefficient tuple.
+# ---------------------------------------------------------------------------
+# the e-Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
+# III (3.2)), exact on partitions of length <= n
+#
+# Every polynomial here has nonnegative integer coefficients and is an int
+# packed at a slot width bits, its value at z = 2^bits, so a product is one
+# int multiply and z^k is a shift by bits*k. The caller checks bits against
+# a bound on every coefficient; nothing here unpacks.
+
+@lru_cache(maxsize=None)
+def gaussian_binomial(a, b, bits):
+    """[a ; b]_z packed at slot width bits; 0 unless 0 <= b <= a."""
+    if b < 0 or b > a:
+        return 0
+    if b == 0 or b == a:
+        return 1
+    # [a ; b] = [a-1 ; b-1] + z^b [a-1 ; b]
+    return (gaussian_binomial(a - 1, b - 1, bits)
+            + (gaussian_binomial(a - 1, b, bits) << bits * b))
+
+
+@lru_cache(maxsize=None)
+def z_multinomial(lam, n, bits):
+    """[n]_z / b_{lam,n}(z) as an int packed at slot width bits.
 
     The multiplicities m_i(lam), m_0 = n - len(lam) included, sum to n, so
     the quotient is the z-multinomial coefficient: a product of Gaussian
     binomials, hence a polynomial.
     """
-    factors, left = [], n
+    out, left = 1, n
     for _, m in multiplicities(as_partition(lam), n):
-        factors.append((left, m))
+        out *= gaussian_binomial(left, m, bits)
         left -= m
-    return _gaussian_product(factors)
+    return out
 
 
 @lru_cache(maxsize=None)
-def packed_z_multinomial(lam, n, bits):
-    """`z_multinomial` packed at slot width bits, which the caller has
-    checked against a bound on its coefficients."""
-    return pack(z_multinomial(lam, n), bits)
-
-
-# ---------------------------------------------------------------------------
-# the e-Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
-# III (3.2)), exact on partitions of length <= n
-
-@lru_cache(maxsize=None)
-def gaussian_binomial(a, b):
-    """[a ; b]_z as an integer coefficient tuple; (0,) unless 0 <= b <= a."""
-    if b < 0 or b > a:
-        return (0,)
-    if b == 0 or b == a:
-        return (1,)
-    # [a ; b] = [a-1 ; b-1] + z^b [a-1 ; b]
-    return padd(gaussian_binomial(a - 1, b - 1),
-                (0,) * b + gaussian_binomial(a - 1, b))
-
-
-def _gaussian_product(factors):
-    """prod [a ; b]_z over (a, b) in factors, as an integer coefficient
-    tuple, multiplied as packed ints and unpacked once. Every coefficient
-    of every factor is nonnegative, so none of the product exceeds its
-    value at z = 1, prod C(a, b), and that bound sets the slot width.
-    Only factors with 0 < b < a are multiplied: the others are 1 (b = 0 or
-    b = a) or 0 (b > a, which makes the bound and the product 0)."""
-    bound = prod(comb(a, b) for a, b in factors)
-    bits = bound.bit_length() + 1
-    check_width(bits, bound)
-    p = 1 if bound else 0
-    for a, b in factors:
-        if 0 < b < a:
-            p *= pack(gaussian_binomial(a, b), bits)
-    return unpack(p, bits)
-
-
-@lru_cache(maxsize=None)
-def pieri_e(mu, r, n):
-    """e_r * P_mu on the P_lam with len(lam) <= n: dict lam -> coefficient.
+def pieri_e(mu, r, n, bits):
+    """e_r * P_mu on the P_lam with len(lam) <= n, as a tuple of
+    (lam, coefficient) pairs.
 
     lam runs over the vertical r-strips lam/mu. Each coefficient is the
-    integer polynomial prod_i [lam'_i - lam'_(i+1) ; lam'_i - mu'_i]_z, as a
-    coefficient tuple. Multiplying by e_r never shortens a partition, so
-    dropping lam with len(lam) > n before a further product is exact. The
-    result is cached, so it is returned as a read-only mapping.
+    integer polynomial prod_i [lam'_i - lam'_(i+1) ; lam'_i - mu'_i]_z,
+    packed at slot width bits. Multiplying by e_r never shortens a
+    partition, so dropping lam with len(lam) > n before a further product
+    is exact.
     """
     mu = as_partition(mu)
     if len(mu) > n:
-        return MappingProxyType({})
-    mc = conjugate(mu)
-    out = {}
+        return ()
+    mc = conjugate(mu) + (0,)  # lam has at most one column more
+    out = []
     for lam in _vertical_strips(mu + (0,) * (n - len(mu)), r):
         lc = conjugate(lam) + (0,)
-        out[lam] = _gaussian_product(
-            [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
-             for i in range(len(lc) - 1)])
-    return MappingProxyType(out)
+        out.append((lam, prod(gaussian_binomial(lc[i] - lc[i + 1],
+                                                lc[i] - mc[i], bits)
+                              for i in range(len(lc) - 1))))
+    return tuple(out)
 
 
 def _vertical_strips(rows, r):
@@ -230,14 +211,6 @@ def _vertical_strips(rows, r):
     return out
 
 
-@lru_cache(maxsize=None)
-def packed_pieri_e(mu, r, n, bits):
-    """`pieri_e` with every coefficient packed at slot width bits, which
-    the caller has checked against a bound on them, as a tuple of
-    (lam, int) pairs."""
-    return tuple((lam, pack(c, bits)) for lam, c in pieri_e(mu, r, n).items())
-
-
 def packed_e_times_P(rho, mu, n, bits):
     """e_rho * P_mu on the P_nu with len(nu) <= n, by the e-Pieri rule one
     part of rho at a time: dict nu -> integer polynomial packed at slot
@@ -247,7 +220,7 @@ def packed_e_times_P(rho, mu, n, bits):
     for r in rho:
         nxt = {}
         for lam, c in out.items():
-            for nu, cn in packed_pieri_e(lam, r, n, bits):
+            for nu, cn in pieri_e(lam, r, n, bits):
                 nxt[nu] = nxt.get(nu, 0) + c * cn
         out = nxt
     return out

@@ -7,9 +7,10 @@ The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
 
 `PackedLayout` packs an integer series of the window into one Python int
-(Kronecker substitution), so a product is one big-int multiply; `pack` and
-`unpack` do the same for a univariate polynomial with nonnegative integer
-coefficients, and `check_width` asserts that a slot width holds a bound.
+(Kronecker substitution), so a product is one big-int multiply. A
+univariate polynomial with nonnegative integer coefficients is packed the
+same way as its value at z = 2^bits; `unpack` reads its coefficients back,
+and `check_width` asserts that a slot width holds a bound.
 """
 
 from fractions import Fraction
@@ -136,16 +137,9 @@ def check_width(bits, bound):
         "slot width %d too small for bound %d" % (bits, bound)
 
 
-def pack(coeffs, bits):
-    """The int sum_i coeffs[i] * 2^(bits*i) of a coefficient tuple whose
-    entries lie in [0, 2^bits); it is the polynomial's value at z = 2^bits,
-    so products and sums are int * and +."""
-    return sum(v << bits * i for i, v in enumerate(coeffs) if v)
-
-
 def unpack(p, bits):
-    """The coefficient tuple, trimmed, of an int p >= 0 packed by `pack`
-    whose slots all lie in [0, 2^bits)."""
+    """The coefficient tuple, trimmed, of a polynomial packed as its value
+    p >= 0 at z = 2^bits, whose coefficients all lie in [0, 2^bits)."""
     assert p >= 0, "a packed polynomial with a negative coefficient"
     digit, out = (1 << bits) - 1, []
     while p:

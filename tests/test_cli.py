@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import hilbeuler
 from hilbeuler import euler
 from hilbeuler.cli import main, symfunc_str
@@ -172,11 +174,35 @@ def test_verify_suites(capsys):
                  ("verify", "orthogonality", "--n", "2", "--max-size", "2"),
                  ("verify", "cauchy", "--max-size", "3"),
                  ("verify", "corollary", "--n", "2", "--max-deg", "3"),
-                 ("verify", "kprop", "--max-size", "3")):
+                 ("verify", "kprop", "--max-size", "3"),
+                 # the lower ends of the accepted ranges
+                 ("verify", "lemma", "--max-size", "0"),
+                 ("verify", "orthogonality", "--n", "1", "--max-size", "0"),
+                 ("verify", "orthogonality", "--n", "3", "--max-size", "0"),
+                 ("verify", "cauchy", "--max-size", "0"),
+                 ("verify", "kprop", "--max-size", "0")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, out, err)
         assert "FAIL" not in out
         assert out.strip().endswith("passed")
+
+
+# a size past DEGREE_BOUND, a negative size or an --n the finite inner
+# product cannot take is refused before any case runs or is written
+@pytest.mark.parametrize("argv", [
+    ("orthogonality", "--n", "1", "--max-size", "13"),
+    ("orthogonality", "--n", "-1", "--max-size", "1"),
+    ("orthogonality", "--n", "4", "--max-size", "1"),
+    ("cauchy", "--max-size", "-3"),
+    ("cauchy", "--max-size", "13"),
+    ("lemma", "--max-size", "-2"),
+    ("lemma", "--max-size", "13"),
+    ("kprop", "--max-size", "-1")])
+def test_verify_refuses_a_bad_size_before_writing(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard:"), err
 
 
 def test_hl_poly(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
+import pieri_by_tuples as by_tuples
 from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
                              _can_end_sorted, _delta_kernel,
                              _holomorphic_part, _pair_kernel, _raise_cost,
@@ -17,7 +18,7 @@ from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
                              fixed_point_data, omega, partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
-                                       k_exponent, pieri_e, z_multinomial)
+                                       k_exponent)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
@@ -351,12 +352,13 @@ def theorem_by_tuples(f, n, order):
                 for r in rho:
                     nxt = {}
                     for lam, c in elements.items():
-                        for nu, cn in pieri_e(lam, r, n).items():
+                        for nu, cn in by_tuples.pieri_e(lam, r, n).items():
                             nxt[nu] = padd(nxt.get(nu, (0,)), pmul(c, cn))
                     elements = nxt
                 for nu, c in elements.items():
                     shift = m + k_exponent(mu, nu)
-                    for i, v in enumerate(pmul(c, z_multinomial(nu, n))):
+                    zm = by_tuples.z_multinomial(nu, n)
+                    for i, v in enumerate(pmul(c, zm)):
                         num[shift + i] = num.get(shift + i, 0) + v
     tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
               .expand(order) for rho in fe.c}
@@ -376,6 +378,9 @@ def test_packed_theorem_equals_tuple_oracle():
             for d in range(D + 1):
                 got = euler_theorem(f, n, d).series
                 assert got == BiSeries(d, want.c), (expr, n, d)
+    # n = 6 at twice the depth: the widest slots of this test, 22 bits
+    f = SymFunc.element("s", (2, 1))
+    assert euler_theorem(f, 6, 16).series == theorem_by_tuples(f, 6, 16)
 
 
 def test_theorem_numerators_sum_to_e_rho_times_h_m_at_one():

@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
+import pieri_by_tuples as pieri_oracle
 from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
-                                       ARG_X_ONE_MINUS_Z, LemmaCheck,
-                                       _gaussian_product, adams,
+                                       ARG_X_ONE_MINUS_Z, LemmaCheck, adams,
                                        b_norm, b_norm_finite, expand_in_P,
                                        gamma_plus,
                                        gaussian_binomial, hl_P, hl_Q,
@@ -15,6 +15,7 @@ from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
 from hilbeuler.partitions import (as_partition, conjugate, partitions_of,
                                   partitions_up_to, zee)
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
+from hilbeuler.series import unpack
 from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
                                hl_inner, multiply, to_p)
 
@@ -310,21 +311,31 @@ def test_lemma():
 # ---------------------------------------------------------------------------
 # the e-Pieri rule against the vertex-operator oracle
 
+#: slot width of the packed Pieri tests. Every coefficient is at most its
+#: value at z = 1: C(a, b) for a Gaussian binomial, a multinomial of n for
+#: a z-multinomial, and for a Pieri coefficient a product of binomials whose
+#: tops sum to at most n. With n <= 6 all of these are at most 6! < 2^15.
+BITS = 16
+
+
 def test_gaussian_binomial():
-    assert gaussian_binomial(4, 2) == (1, 1, 2, 1, 1)
-    assert gaussian_binomial(3, 0) == gaussian_binomial(3, 3) == (1,)
-    assert gaussian_binomial(2, 3) == gaussian_binomial(2, -1) == (0,)
+    assert unpack(gaussian_binomial(4, 2, BITS), BITS) == (1, 1, 2, 1, 1)
+    assert gaussian_binomial(3, 0, BITS) == gaussian_binomial(3, 3, BITS) == 1
+    assert gaussian_binomial(2, 3, BITS) == gaussian_binomial(2, -1, BITS) == 0
     for a in range(7):
         for b in range(a + 1):
             want = z_bracket(a) / (z_bracket(b) * z_bracket(a - b))
-            assert RationalFunction1(gaussian_binomial(a, b)) == want
+            got = unpack(gaussian_binomial(a, b, BITS), BITS)
+            assert RationalFunction1(got) == want
+            assert got == pieri_oracle.gaussian_binomial(a, b)
 
 
 def test_z_multinomial_is_n_bracket_over_b():
     for lam in partitions_up_to(4):
         for n in range(max(len(lam), 1), 6):
             want = z_bracket(n) / b_norm_finite(lam, n)
-            assert RationalFunction1(z_multinomial(lam, n)) == want
+            got = unpack(z_multinomial(lam, n, BITS), BITS)
+            assert RationalFunction1(got) == want
 
 
 def test_pieri_e_equals_vertex_operator_oracle():
@@ -333,12 +344,12 @@ def test_pieri_e_equals_vertex_operator_oracle():
             e_r = SymFunc.element("e", (r,)) if r else SymFunc.one()
             full = expand_in_P(multiply(e_r, hl_P(mu)))
             for n in {len(mu), len(mu) + 1, 6}:
-                got = pieri_e(mu, r, n)
-                for coef in got.values():
-                    assert all(type(c) is int for c in coef), (mu, r, coef)
+                got = pieri_e(mu, r, n, BITS)
+                for _, coef in got:
+                    assert type(coef) is int, (mu, r, coef)
                 want = {lam: v for lam, v in full.items() if len(lam) <= n}
-                assert {lam: RationalFunction1(c)
-                        for lam, c in got.items()} == want, (mu, r, n)
+                assert {lam: RationalFunction1(unpack(c, BITS))
+                        for lam, c in got} == want, (mu, r, n)
 
 
 def pieri_e_by_subsets(mu, r, n):
@@ -358,7 +369,7 @@ def pieri_e_by_subsets(mu, r, n):
             continue
         lam = tuple(p for p in lam if p)
         lc = conjugate(lam) + (0,)
-        out[lam] = _gaussian_product(
+        out[lam] = pieri_oracle.gaussian_product(
             [(lc[i] - lc[i + 1], lc[i] - (mc[i] if i < len(mc) else 0))
              for i in range(len(lc) - 1)])
     return out
@@ -370,12 +381,13 @@ def test_pieri_e_strips_equal_subset_oracle():
         for n in range(1, 7):
             for r in range(8):
                 want = pieri_e_by_subsets(mu, r, n)
-                got = pieri_e(mu, r, n)
+                got = pieri_e(mu, r, n, BITS)
                 # same entries, in the same order
-                assert list(got.items()) == list(want.items()), (mu, r, n)
+                assert [(lam, unpack(c, BITS)) for lam, c in got] == \
+                    list(want.items()), (mu, r, n)
                 if r > n or len(mu) > n:
                     assert not got, (mu, r, n)
                 cases += 1
     assert cases == 67 * 6 * 8
     # e_r = 0 for r < 0
-    assert not pieri_e((1,), -1, 3)
+    assert not pieri_e((1,), -1, 3, BITS)

@@ -5,10 +5,11 @@ import pytest
 
 from constant_term_by_fractions import geometric, geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1, pmul
-from hilbeuler.series import BiSeries, PackedLayout, check_width, pack, unpack
+from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
+from pieri_by_tuples import pack
 
 
 def _random_biseries(rng, order, nterms=6):
