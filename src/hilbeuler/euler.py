@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial, prod
+from fractions import Fraction
+from math import comb, factorial, lcm, prod
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
 from .ratfunc import rf_expand
@@ -243,33 +244,41 @@ class EulerResult:
 # ---------------------------------------------------------------------------
 # f's coefficients, applied once for every evaluator
 
-def _apply_coefficients(tables, coeffs, order):
-    """BiSeries of sum over lam of coeffs[lam] * tables[lam].
+def _apply_coefficients(tables, coeffs, order, den=1):
+    """BiSeries of sum over lam of coeffs[lam] * tables[lam] / den.
 
     Each table is {(a, b): int}, a Laurent table in z1 that must be exact
     for a <= order. Each coefficient, a rational function of z1, is
     expanded once at z1 = 0 by `rf_expand`: it is regular there, because
     f's grammar has no bare z and the P/Q atoms only bring denominators
     that are products of (1 - z1^k), so a product term at a <= order needs
-    table entries at a <= order only. The sum must be holomorphic at
-    z1 = 0.
+    table entries at a <= order only. The expansions are scaled to ints
+    over their common denominator, the sum is taken in ints, and each
+    coefficient of it becomes one Fraction over that denominator times den.
+    The sum must be holomorphic at z1 = 0.
     """
+    expansions = {}
+    for lam, table in tables.items():
+        if table:
+            lo = min(a for a, _ in table)
+            expansions[lam] = rf_expand(coeffs[lam], order - lo)
+    common = lcm(*(w.denominator for r in expansions.values() for w in r))
     # inline per-term kernel: every table entry meets every nonzero term of
     # its coefficient's expansion up to the window; zeros of the sum are
     # dropped once, by _holomorphic_part
     total = {}
-    for lam, table in tables.items():
-        if not table:
-            continue
-        lo = min(a for a, _ in table)
-        r = rf_expand(coeffs[lam], order - lo)
-        terms = [(i, w) for i, w in enumerate(r) if w]
-        for (a, b), v in table.items():
+    for lam, r in expansions.items():
+        terms = [(i, w.numerator * (common // w.denominator))
+                 for i, w in enumerate(r) if w]
+        for (a, b), v in tables[lam].items():
             for i, w in terms:
                 if a + i > order:
                     break
                 key = (a + i, b)
                 total[key] = total.get(key, 0) + v * w
+    common *= den
+    if common != 1:
+        total = {key: Fraction(v, common) for key, v in total.items()}
     return _holomorphic_part(total, order)
 
 
@@ -350,15 +359,23 @@ def _orbit_size(w):
     return size
 
 
-def _can_end_sorted(w, i, budget):
-    """Whether w, whose coordinates 0..i are final, can still end as a
-    sorted (descending) vector of raise cost at most budget: w[0..i] is
-    sorted, w[i] is at least the mean of the rest, and the raise cost of
-    w[0..i] plus that of the rest's sum is within budget."""
+def _reach(w, i, order, budget):
+    """The largest cap, at most order, of a final vector that w, whose
+    coordinates 0..i are final, can still reach sorted (descending) with
+    raise cost at most budget; negative if it reaches none. w[0..i] must be
+    sorted and w[i] at least the mean of the rest, and the raise cost of
+    w[0..i] plus that of the rest's sum is a lower bound on the final raise
+    cost."""
     rest = sum(w[i + 1:])
-    return (all(w[k] >= w[k + 1] for k in range(i))
-            and w[i] * (len(w) - i - 1) >= rest
-            and _raise_cost(w[:i + 1]) + max(0, -rest) <= budget)
+    if not (all(w[k] >= w[k + 1] for k in range(i))
+            and w[i] * (len(w) - i - 1) >= rest):
+        return -1
+    return min(order, budget - _raise_cost(w[:i + 1]) - max(0, -rest))
+
+
+#: (n, order, slack) -> kernel of every `_delta_kernel` build in this
+#: process, for serving the kernels they cover
+_BUILDS = {}
 
 
 @lru_cache(maxsize=None)
@@ -380,42 +397,67 @@ def _delta_kernel(n, order, slack):
     commutes with the product); one that vanishes below its cap is left
     out.
 
-    Pruning: the pairs run in row order (0, 1), ..., (0, n-1), (1, 2), ...,
-    and pair (i, j) adds m to coordinate i and takes it from coordinate j.
-    Once row i ends with pair (i, n-1), no later pair touches coordinates
-    0..i, and the later pairs keep the sum r of coordinates i+1..n-1. So a
-    target w of that pair reaches only final vectors w' with w'[k] = w[k]
-    for k <= i and w'[i+1] + ... + w'[n-1] = r, and a product into w is
-    taken only if some such w' is sorted within budget. For such a w':
-    w[0] >= ... >= w[i] because they are its first entries; w[i] >= w'[i+1]
-    >= r/(n-i-1), because the first entry of a sorted suffix is at least its
-    mean; and raise_cost(w') = raise_cost(w[0..i]) + sum_{k>i} max(0, -w'[k])
-    >= raise_cost(w[0..i]) + max(0, -r). These are the three conditions of
-    `_can_end_sorted`; a target failing one reaches only vectors the
-    kernel leaves out, so dropping it changes no entry. Pairs that end no
-    row are not filtered. The last pair (n-2, n-1) ends the last row, and
-    its m is solved for instead of tried: w[n-2] = v[n-2] + m >= w[n-1] =
-    v[n-1] - m holds exactly for m >= ceil((v[n-1] - v[n-2])/2), and, for
-    n > 2, w[n-3] = v[n-3] >= w[n-2] exactly for m <= v[n-3] - v[n-2]; the
-    earlier rows have made w[0..n-3] sorted, so only the raise cost is
-    still tested.
+    Pruning and windows: the pairs run in row order (0, 1), ..., (0, n-1),
+    (1, 2), ..., and pair (i, j) adds m to coordinate i and takes it from
+    coordinate j. Once row i ends with pair (i, n-1), no later pair touches
+    coordinates 0..i, and the later pairs keep the sum r of coordinates
+    i+1..n-1. So a target w of that pair reaches only final vectors w' with
+    w'[k] = w[k] for k <= i and w'[i+1] + ... + w'[n-1] = r. If such a w' is
+    sorted within budget, then w[0] >= ... >= w[i], as its first entries;
+    w[i] >= w'[i+1] >= r/(n-i-1), the first entry of a sorted suffix being
+    at least its mean; and raise_cost(w') = raise_cost(w[0..i]) +
+    sum_{k>i} max(0, -w'[k]) >= raise_cost(w[0..i]) + max(0, -r), so
+    cap(w') <= reach(w) = min(order, budget - raise_cost(w[0..i]) -
+    max(0, -r)). `_reach` returns it, or -1 where the first two conditions
+    fail; a target of negative reach reaches only vectors the kernel leaves
+    out and is dropped. The pair kernel has no negative z-degree, so the
+    terms of an entry above its reach only feed terms above the caps of the
+    vectors it reaches: each entry is cut to its reach, and so are both
+    operands of each product into it. A pair of row i keeps coordinates
+    0..i-1 and the sum of the rest, so a target of a pair that ends no row
+    has its sources' common reach, and the reach never rises from a source
+    to a target. The last pair (n-2, n-1) ends the last row, where the
+    reach is cap(w), and its m is solved for instead of tried:
+    w[n-2] = v[n-2] + m >= w[n-1] = v[n-1] - m holds exactly for
+    m >= ceil((v[n-1] - v[n-2])/2), and, for n > 2, w[n-3] = v[n-3] >=
+    w[n-2] exactly for m <= v[n-3] - v[n-2]. Cutting drops no entry; it
+    shrinks the ints, most at the last pair, where most caps are far below
+    order.
+
+    Covering builds: the entry at w is the product of all pair kernels read
+    at cap(w); the order-D pair kernel read at degrees <= order is the
+    order one, and pruning changes no entry. So a build (n, D, s) with
+    D >= order and D + s >= order + slack holds every entry of
+    (n, order, slack) at a cap at least its own, and the kernel is read off
+    it by truncation. The builds are kept in `_BUILDS`, which clearing this
+    cache leaves as it is.
 
     Packing: every series is one int of `PackedLayout(order, B)`, slot
     (a, b) at bit B*(a*(2*order + 1) + b), so a pair term is one int
-    multiply. The products into one target are summed untruncated, then cut
-    back to the window by ((p + BIAS) & KEEP) - KEEP_BIAS, which is exact
-    while every slot has absolute value below 2^(B-1).
+    multiply, and `PackedLayout.truncate` cuts a sum of products to a
+    window in three int operations, exact while every slot has absolute
+    value below 2^(B-1).
 
     Bit width: let L = sum_m ||K_m||_1 over the order-D pair kernel K. The
     l1 norm of a product is at most the product of the l1 norms, and
     truncation only drops terms, so after k pair products an entry, a sum
     over the choices (m_1..m_k) that reach it of truncated products of
     K_m_i, has ||.||_1 <= sum over all choices of prod ||K_m_i||_1 = L^k;
-    the same sum bounds the untruncated products summed into it, and
-    pruning only drops choices. So every slot is bounded by L^#pairs, and
-    B = (L^#pairs).bit_length() + 1 suffices (B = 43 for n = 3, D = 7).
+    the same sum bounds the products summed into it, of cut operands or
+    not, and pruning only drops choices. So every slot is bounded by
+    L^#pairs, and B = (L^#pairs).bit_length() + 1 suffices (B = 43 for
+    n = 3, D = 7).
     """
     budget = order + slack
+    cover = min((key for key in _BUILDS if key[0] == n and key[1] >= order
+                 and key[1] + key[2] >= budget), key=sum, default=None)
+    if cover is not None:
+        kern = {}
+        for w, bs in _BUILDS[cover].items():
+            bs = BiSeries(min(order, budget - _raise_cost(w)), bs.c)
+            if bs:
+                kern[w] = bs
+        return kern
     pair = _pair_kernel(order).c
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
@@ -423,35 +465,94 @@ def _delta_kernel(n, order, slack):
     layout = PackedLayout(order, bound.bit_length() + 1)
     layout.check(bound)
     packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
-    top = max(packed)
-    acc = {(0,) * n: 1}
+    # the pair kernel cut to each cap: pair_cut[cap][m]
+    pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
+                for cap in range(order + 1)]
+    top = max(pair_cut[0])
+    acc = {(0,) * n: (1, order)}
     for i, j in pairs:
         last = (i, j) == pairs[-1]
-        out = {}
-        for v, x in acc.items():
-            ms = packed
+        out, caps = {}, {}
+        for v, (x, reach) in acc.items():
+            ms = pair_cut[0]
             if last:
                 lo = max(-top, -((v[i] - v[j]) // 2))
                 hi = min(top, v[i - 1] - v[i]) if i else top
-                ms = [m for m in range(lo, hi + 1) if m in packed]
+                ms = range(lo, hi + 1)
+            x_cut = {reach: x}
             for m in ms:
                 w = list(v)
                 w[i] += m
                 w[j] -= m
                 w = tuple(w)
+                cap = reach
                 if last:
-                    if _raise_cost(w) > budget:
-                        continue
-                elif j == n - 1 and not _can_end_sorted(w, i, budget):
+                    cap = min(order, budget - _raise_cost(w))
+                elif j == n - 1:
+                    cap = _reach(w, i, order, budget)
+                if cap < 0:
                     continue
-                out[w] = out.get(w, 0) + x * packed[m]
-        acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
-    kern = {}
-    for w, p in acc.items():
-        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
-        if bs:
-            kern[w] = bs
+                y = pair_cut[cap].get(m)
+                if not y:
+                    continue
+                xc = x_cut.get(cap)
+                if xc is None:
+                    xc = x_cut[cap] = layout.truncate(x, cap)
+                out[w] = out.get(w, 0) + xc * y
+                caps[w] = cap
+        acc = {}
+        for w, p in out.items():
+            p = layout.truncate(p, caps[w])
+            if p:
+                acc[w] = (p, caps[w])
+    kern = _BUILDS[(n, order, slack)] = {
+        w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}
     return kern
+
+
+def _pairing_bound(kern, lams, n):
+    """Bound on every slot of the packed sums of `_kernel_pairings`:
+    n^d sum_w orbit_size(w) max|K_w|, with d the largest degree in lams.
+
+    A slot of sum_w K_w phi_w is a sum over w and k of [(z1z2)^k]phi_w
+    times one coefficient of K_w. The coefficients of phi_w are
+    orbit_size(w) times those of p_lam(x_1..x_n), which are nonnegative,
+    grouped by raise cost, so they sum to at most orbit_size(w) p_lam(1^n)
+    = orbit_size(w) n^len(lam) <= orbit_size(w) n^d.
+    """
+    d = max(map(sum, lams), default=0)
+    return n ** d * sum(_orbit_size(w) * max(map(abs, bs.c.values()))
+                        for w, bs in kern.items())
+
+
+def _kernel_pairings(kern, lams, n, order, bits):
+    """lam -> BiSeries of order `order` of sum over the kernel's orbit
+    representatives w of orbit_size(w) K_w phi_w, phi_w = sum_t [x^t]p_lam
+    (z1z2)^raise_cost(w + t), at slot width bits, which must hold
+    `_pairing_bound`.
+
+    Each K_w and each phi_w is one int of `PackedLayout(order, bits)`, with
+    (z1z2)^k a shift by bits*k*(2*order + 2); terms of phi_w of degree
+    k > order leave the window and are dropped. The products, whose slots
+    stay within 2*order, are summed and unpacked once per lam.
+    """
+    check_width(bits, _pairing_bound(kern, lams, n))
+    layout = PackedLayout(order, bits)
+    diag = bits * (layout.stride + 1)
+    packed = [(w, _orbit_size(w) * layout.pack(bs)) for w, bs in kern.items()]
+    out = {}
+    for lam in lams:
+        monomials = p_in_x(lam, n, 1).c.items()
+        total = 0
+        for w, p in packed:
+            phi = 0
+            for t, c in monomials:
+                k = _raise_cost([a + b for a, b in zip(w, t)])
+                if k <= order:
+                    phi += c << diag * k
+            total += p * phi
+        out[lam] = layout.unpack(total, order)
+    return out
 
 
 def euler_constant_term(f, n, order, force=False):
@@ -468,32 +569,22 @@ def euler_constant_term(f, n, order, force=False):
     The kernel, p_lam and the raise cost are all invariant under S_n, so
     the orthant sum over every exponent vector u of the kernel,
     sum_u K[u] phi(u) with phi(u) = sum_t [x^t]p_lam (z1z2)^raise_cost(u+t),
-    is the sum over orbit representatives w of orbit_size(w) K[w] phi(w).
+    is the sum over orbit representatives w of orbit_size(w) K[w] phi(w),
+    which `_kernel_pairings` takes on packed ints.
     """
     check_guards("constant-term", n, order, force)
     t0 = time.monotonic()
     fp = to_p(f)
     kern = _delta_kernel(n, order, fp.degree())
+    bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
     prefactor = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order)
     tables = {}
-    for lam in fp.c:
-        monomials = p_in_x(lam, n, 1).c.items()
-        # z2-degree -> z1-degree -> int, summed inline per term; the
-        # WedgeSeries constructor drops zeros once
+    for lam, bs in _kernel_pairings(kern, fp.c, n, order, bits).items():
         rows = {}
-        for w, bs in kern.items():
-            # orbit_size(w) * phi(w), as z1z2-degree -> int
-            weight = _orbit_size(w)
-            phi = add_terms({}, ((_raise_cost([a + b for a, b in zip(w, t)]),
-                                  weight * c) for t, c in monomials))
-            for k, c in phi.items():
-                for (a, b), v in bs.c.items():
-                    if a + k <= order and b + k <= order:
-                        row = rows.setdefault(b + k, {})
-                        row[a + k] = row.get(a + k, 0) + c * v
+        for (a, b), v in bs.c.items():
+            rows.setdefault(b, {})[a] = v
         tables[lam] = (WedgeSeries(order, rows) * prefactor).expand(order)
-    coeffs = {lam: c / factorial(n) for lam, c in fp.c.items()}
-    series = _apply_coefficients(tables, coeffs, order)
+    series = _apply_coefficients(tables, fp.c, order, factorial(n))
     return EulerResult("constant-term", series, n, order,
                        time.monotonic() - t0)
 

@@ -191,12 +191,14 @@ def pieri_e(mu, r, n, bits):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _vertical_strips(rows, r):
-    """The partitions made from rows, a partition padded with zeros, by
-    adding one cell to each of r rows, in lexicographic order of the grown
-    row indices; none for r < 0. Row i grows only while it stays at most
-    row i-1 as grown, and the search stops when fewer rows are left than
-    cells."""
+    """The partitions made from rows, a partition padded with zeros (a
+    tuple), by adding one cell to each of r rows, in lexicographic order of
+    the grown row indices; none for r < 0. Row i grows only while it stays
+    at most row i-1 as grown, and the search stops when fewer rows are left
+    than cells. Cached apart from `pieri_e`, so a new slot width only packs
+    the strips again."""
     n, out = len(rows), []
 
     def grow(i, left, lam):
@@ -208,7 +210,7 @@ def _vertical_strips(rows, r):
             grow(i + 1, left, lam + (rows[i],))
 
     grow(0, r, ())
-    return out
+    return tuple(out)
 
 
 def packed_e_times_P(rho, mu, n, bits):

@@ -161,30 +161,38 @@ class PackedLayout:
     a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
     `check` asserts a bound on them.
 
-    `truncate` cuts a product back to the window in three int operations,
-    ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every slot up to
-    (2*order, 2*order), which makes each slot a digit in [0, 2^B), so no
-    borrow crosses a slot; KEEP masks the window's digits and KEEP_BIAS
-    takes their bias back off.
+    `truncate(p, cap)` cuts p to the window 0 <= a, b <= cap in three int
+    operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every
+    slot of the rows a <= cap, which makes each of them a digit in
+    [0, 2^B), so no borrow crosses a slot and the rows above cannot reach
+    the bits below them; KEEP masks the digits of the window and KEEP_BIAS
+    takes their bias back off. The masks of each cap are built once.
     """
 
-    __slots__ = ("bits", "stride", "bias", "keep", "keep_bias")
+    __slots__ = ("order", "bits", "stride", "_masks")
 
     def __init__(self, order, bits):
+        self.order = order
         self.bits = bits
         self.stride = 2 * order + 1
-        half, digit = 1 << (bits - 1), (1 << bits) - 1
-        self.bias = self.keep = self.keep_bias = 0
-        for a in range(self.stride):
-            for b in range(self.stride):
-                at = self._at(a, b)
-                self.bias |= half << at
-                if a <= order and b <= order:
-                    self.keep |= digit << at
-                    self.keep_bias |= half << at
+        self._masks = {}
 
     def _at(self, a, b):
         return self.bits * (a * self.stride + b)
+
+    def _mask(self, cap):
+        """(BIAS, KEEP, KEEP_BIAS) of the window 0 <= a, b <= cap."""
+        m = self._masks.get(cap)
+        if m is None:
+            half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
+            row_bias = sum(half << self._at(0, b) for b in range(self.stride))
+            row_keep = sum(digit << self._at(0, b) for b in range(cap + 1))
+            row_half = sum(half << self._at(0, b) for b in range(cap + 1))
+            rows = [self._at(a, 0) for a in range(cap + 1)]
+            m = self._masks[cap] = tuple(sum(row << at for at in rows)
+                                        for row in (row_bias, row_keep,
+                                                    row_half))
+        return m
 
     def check(self, bound):
         """Assert that a slot holds every integer of absolute value at
@@ -192,17 +200,19 @@ class PackedLayout:
         check_width(self.bits, bound)
 
     def pack(self, series):
-        """The int of an integer BiSeries of this layout's order."""
+        """The int of an integer BiSeries of order at most this layout's."""
         return sum(v << self._at(a, b) for (a, b), v in series.c.items())
 
-    def truncate(self, p):
-        """The packed product p with every slot beyond the window cut."""
-        return ((p + self.bias) & self.keep) - self.keep_bias
+    def truncate(self, p, cap=None):
+        """The packed series or product p with every slot beyond the window
+        0 <= a, b <= cap (default: order) cut."""
+        bias, keep, keep_bias = self._mask(self.order if cap is None else cap)
+        return ((p + bias) & keep) - keep_bias
 
     def unpack(self, p, cap):
         """BiSeries of order cap <= order of the slots a, b <= cap of p, a
         packed series or an untruncated product."""
-        q = p + self.bias
+        q = p + self._mask(cap)[0]
         half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
         coeffs = {}
         for a in range(cap + 1):

@@ -1,29 +1,32 @@
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
 import pieri_by_tuples as by_tuples
+from hilbeuler import euler
 from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
-                             _can_end_sorted, _delta_kernel,
-                             _holomorphic_part, _pair_kernel, _raise_cost,
+                             _delta_kernel, _holomorphic_part,
+                             _kernel_pairings, _orbit_size, _pair_kernel,
+                             _pairing_bound, _raise_cost, _reach,
                              _theorem_bound, _theorem_numerators,
                              _wedge_inverse_factor, _wedge_poly_factor,
                              cross_check, euler_constant_term,
                              euler_localization, euler_theorem, evaluate,
                              fixed_point_data, omega, partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
-from hilbeuler.hall_littlewood import (b_norm_finite, expand_in_P, hl_P,
-                                       k_exponent)
+from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
+                                       expand_in_P, gaussian_binomial, hl_P,
+                                       k_exponent, pieri_e, z_multinomial)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
 from hilbeuler.series import BiSeries, PackedLayout, unpack
-from hilbeuler.symfunc import SymFunc, convert, multiply, to_p
+from hilbeuler.symfunc import SymFunc, convert, multiply, p_in_x, to_p
 from hilbeuler.xlaurent import XLaurent, add_terms
 
 GEO = RF1 / RationalFunction1((1, -1))
@@ -546,8 +549,8 @@ def test_pruned_delta_kernel_equals_unpruned_oracle():
 
 def test_row_end_pruning_keeps_every_sorted_vector_within_budget():
     # a sorted vector of sum 0 and raise cost <= budget is a possible final
-    # kernel entry, so it must pass at every row end (i, n-1), whatever the
-    # later pairs do to its coordinates beyond i
+    # kernel entry, so at every row end (i, n-1), whatever the later pairs
+    # do to its coordinates beyond i, its reach must be at least its cap
     for n in (2, 3, 4):
         for D in range(5):
             span = range(-(D + 2), D + 3)
@@ -556,8 +559,9 @@ def test_row_end_pruning_keeps_every_sorted_vector_within_budget():
             for slack in range(4):
                 budget = D + slack
                 for w in vectors:
-                    if _raise_cost(w) <= budget:
-                        assert all(_can_end_sorted(w, i, budget)
+                    cap = min(D, budget - _raise_cost(w))
+                    if cap >= 0:
+                        assert all(_reach(w, i, D, budget) >= cap
                                    for i in range(n - 1)), (w, budget)
 
 
@@ -572,3 +576,271 @@ def test_constant_term_equals_localization_at_n3_D7():
         f = to_symfunc(parse(expr))
         assert (euler_constant_term(f, 3, 7).series
                 == euler_localization(f, 3, 7).series), expr
+
+
+# ---------------------------------------------------------------------------
+# the windowed delta kernel and its covering builds
+
+def can_end_sorted(w, i, budget):
+    """Whether w, whose coordinates 0..i are final, can still end as a
+    sorted (descending) vector of raise cost at most budget."""
+    rest = sum(w[i + 1:])
+    return (all(w[k] >= w[k + 1] for k in range(i))
+            and w[i] * (len(w) - i - 1) >= rest
+            and _raise_cost(w[:i + 1]) + max(0, -rest) <= budget)
+
+
+def delta_kernel_uncut(n, order, slack):
+    """The pruned per-orbit packed delta kernel with every product taken
+    at the full window: pruned at each row end, the last pair's m solved
+    for, each stage truncated to the window only."""
+    budget = order + slack
+    pair = _pair_kernel(order).c
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
+    bound **= len(pairs)
+    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout.check(bound)
+    packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
+    top = max(packed)
+    acc = {(0,) * n: 1}
+    for i, j in pairs:
+        last = (i, j) == pairs[-1]
+        out = {}
+        for v, x in acc.items():
+            ms = packed
+            if last:
+                lo = max(-top, -((v[i] - v[j]) // 2))
+                hi = min(top, v[i - 1] - v[i]) if i else top
+                ms = [m for m in range(lo, hi + 1) if m in packed]
+            for m in ms:
+                w = list(v)
+                w[i] += m
+                w[j] -= m
+                w = tuple(w)
+                if last:
+                    if _raise_cost(w) > budget:
+                        continue
+                elif j == n - 1 and not can_end_sorted(w, i, budget):
+                    continue
+                out[w] = out.get(w, 0) + x * packed[m]
+        acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
+    kern = {}
+    for w, p in acc.items():
+        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
+        if bs:
+            kern[w] = bs
+    return kern
+
+
+def clear_kernels():
+    _delta_kernel.cache_clear()
+    euler._BUILDS.clear()
+
+
+def fresh_kernel(n, order, slack):
+    """_delta_kernel built from its pair kernels, served from no cache."""
+    clear_kernels()
+    return _delta_kernel(n, order, slack)
+
+
+def unfold(kern):
+    """Every vector of every orbit of a per-orbit kernel."""
+    return {u: bs for w, bs in kern.items() for u in permutations(w)}
+
+
+def test_cut_delta_kernel_equals_uncut_and_both_oracles():
+    # every fresh build equals the uncut kernel; the older oracles are
+    # compared where they cost little: the full products up to n = 4,
+    # D = 3 (15 s more at n = 4, D = 4..5), the unpruned kernel at n = 4,
+    # D = 4..5 at the widest budget only
+    cases = [(n, D, slack) for n in (1, 2, 3) for D in range(8)
+             for slack in range(4)]
+    cases += [(4, D, slack) for D in range(6) for slack in range(4)]
+    for n, D, slack in cases:
+        got = fresh_kernel(n, D, slack)
+        assert set(euler._BUILDS) == {(n, D, slack)}
+        assert got == delta_kernel_uncut(n, D, slack), (n, D, slack)
+        if n < 4 or D < 4 or slack == 3:
+            assert got == delta_kernel_unpruned(n, D, slack), (n, D, slack)
+        if n < 4 or D < 4:
+            full = delta_kernel_by_full_products(n, D, slack).c
+            unfolded = unfold(got)
+            assert set(unfolded) <= set(full), (n, D, slack)
+            for u, bs in full.items():
+                cap = min(D, D + slack - _raise_cost(u))
+                assert (unfolded.get(u, BiSeries(cap))
+                        == BiSeries(cap, bs.c)), (n, D, slack, u)
+    clear_kernels()
+
+
+def test_kernels_served_from_a_covering_build_equal_fresh_builds():
+    for n, D, slack in ((2, 7, 3), (3, 7, 3), (4, 4, 3)):
+        covered = [(d, s) for d in range(D + 1) for s in range(4)
+                   if d + s <= D + slack]
+        want = {key: fresh_kernel(n, *key) for key in covered}
+        rng = random.Random(n)
+        shuffled = rng.sample(covered, len(covered))
+        orders = [[(D, slack)] + covered[:-1], covered[::-1], covered,
+                  shuffled]
+        for order in orders:
+            clear_kernels()
+            for key in order:
+                assert _delta_kernel(n, *key) == want[key], (n, key, order)
+            # only keys no earlier build covers are built
+            builds = [key for key in order
+                      if not any(d >= key[0] and d + s >= sum(key)
+                                 for d, s in order[:order.index(key)])]
+            assert sorted(k[1:] for k in euler._BUILDS) == sorted(builds)
+        clear_kernels()
+        _delta_kernel(n, D, slack)
+        assert len(euler._BUILDS) == 1
+        for key in covered:
+            assert _delta_kernel(n, *key) == want[key], (n, key)
+        assert len(euler._BUILDS) == 1
+    clear_kernels()
+
+
+# ---------------------------------------------------------------------------
+# the constant-term pairing on packed ints
+
+def kernel_pairings_by_dicts(kern, lams, n, order):
+    """lam -> BiSeries of sum over w of orbit_size(w) K_w phi_w, by one
+    dict update per term."""
+    out = {}
+    for lam in lams:
+        monomials = p_in_x(lam, n, 1).c.items()
+        total = {}
+        for w, bs in kern.items():
+            weight = _orbit_size(w)
+            phi = add_terms({}, ((_raise_cost([a + b for a, b in zip(w, t)]),
+                                  weight * c) for t, c in monomials))
+            for k, c in phi.items():
+                for (a, b), v in bs.c.items():
+                    if a + k <= order and b + k <= order:
+                        key = (a + k, b + k)
+                        total[key] = total.get(key, 0) + c * v
+        out[lam] = BiSeries(order, total)
+    return out
+
+
+GOLDEN_EXPRESSIONS = ("s[2,1]", "P[2,1]+2*Q[1]", "p[2]-s[1,1]")
+
+
+def test_packed_pairings_equal_dict_oracle():
+    # the golden constant-term cases, plus deeper and forced ones
+    cases = [(expr, n, D) for expr in GOLDEN_EXPRESSIONS
+             for n in (1, 2, 3) for D in (0, 3)]
+    cases += [(expr, 3, 7) for expr in GOLDEN_EXPRESSIONS + ("s[3]", "1")]
+    cases += [("s[2,1]", 4, 4)]
+    for expr, n, D in cases:
+        fp = to_p(to_symfunc(parse(expr)))
+        kern = _delta_kernel(n, D, fp.degree())
+        bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
+        assert (_kernel_pairings(kern, fp.c, n, D, bits)
+                == kernel_pairings_by_dicts(kern, fp.c, n, D)), (expr, n, D)
+
+
+def test_pairing_width_one_bit_short_of_the_bound_is_refused():
+    for expr, n, D in (("s[2,1]", 3, 7), ("p[2]-s[1,1]", 2, 3), ("1", 1, 0)):
+        fp = to_p(to_symfunc(parse(expr)))
+        kern = _delta_kernel(n, D, fp.degree())
+        bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
+        _kernel_pairings(kern, fp.c, n, D, bits)
+        with pytest.raises(AssertionError, match="slot width"):
+            _kernel_pairings(kern, fp.c, n, D, bits - 1)
+
+
+# ---------------------------------------------------------------------------
+# f's coefficients over one common denominator
+
+def apply_coefficients_by_fractions(tables, coeffs, order):
+    """BiSeries of sum over lam of coeffs[lam] * tables[lam], each
+    expansion term multiplied in as it comes, int or Fraction."""
+    total = {}
+    for lam, table in tables.items():
+        if not table:
+            continue
+        lo = min(a for a, _ in table)
+        r = rf_expand(coeffs[lam], order - lo)
+        terms = [(i, w) for i, w in enumerate(r) if w]
+        for (a, b), v in table.items():
+            for i, w in terms:
+                if a + i > order:
+                    break
+                key = (a + i, b)
+                total[key] = total.get(key, 0) + v * w
+    return _holomorphic_part(total, order)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+def test_common_denominator_coefficients_equal_fraction_oracle():
+    # 1/(2 - z1) and 1/(3 - z1^2) expand with powers of den[0] = 2, 3
+    den2 = RF1 / RationalFunction1((2, -1))
+    den3 = RF1 / RationalFunction1((3, 0, -1))
+    coeff_sets = []
+    for expr in ("s[2,1]", "P[2,1]+2*Q[1]", "Q[2,1]", "p[2]-s[1,1]"):
+        fp = to_p(to_symfunc(parse(expr)))
+        coeff_sets.append(fp.c)
+        coeff_sets.append(convert(fp, "e").c)
+        coeff_sets.append({lam: c * (den2 if i % 2 else den3)
+                           for i, (lam, c) in enumerate(fp.c.items())})
+    rng = random.Random(13)
+    D = 5
+    for coeffs in coeff_sets:
+        for _ in range(5):
+            tables = {lam: {(rng.randint(0, D + 1), rng.randint(0, D)):
+                            rng.randint(-9, 9) for _ in range(12)}
+                      for lam in coeffs}
+            tables[next(iter(coeffs))] = {}
+            want = apply_coefficients_by_fractions(tables, coeffs, D)
+            assert _apply_coefficients(tables, coeffs, D) == want
+            # n! folded into the denominator, as constant-term does
+            for n in (1, 3):
+                scaled = {lam: c / factorial(n) for lam, c in coeffs.items()}
+                assert (_apply_coefficients(tables, coeffs, D, factorial(n))
+                        == apply_coefficients_by_fractions(tables, scaled, D))
+            # a term below z1^0 that nothing cancels: the same refusal,
+            # naming the same coefficient
+            lam = next(lam for lam, c in coeffs.items()
+                       if rf_expand(c, 0)[0])
+            tables[lam] = {(-1, 2): 5, (0, 1): 1}
+            assert (_error(_apply_coefficients, tables, coeffs, D)
+                    == _error(apply_coefficients_by_fractions, tables,
+                              coeffs, D))
+    # a coefficient with a pole at z1 = 0: the same message
+    pole = {(1,): RationalFunction1.z_power(-1)}
+    tables = {(1,): {(0, 0): 1}}
+    assert (_error(_apply_coefficients, tables, pole, D)
+            == _error(apply_coefficients_by_fractions, tables, pole, D))
+
+
+# ---------------------------------------------------------------------------
+# Pieri strips across slot widths
+
+def test_theorem_at_every_depth_enumerates_each_strip_once():
+    # the theorem's slot width grows with D, and pieri_e is cached per
+    # width; the vertical strips are cached apart from it
+    f = SymFunc.element("s", (2, 1))
+    caches = (_vertical_strips, pieri_e, gaussian_binomial, z_multinomial)
+
+    def sweep(depths):
+        for cache in caches:
+            cache.cache_clear()
+        return {D: euler_theorem(f, 6, D).series for D in depths}
+
+    deepest = sweep([16])
+    strips = _vertical_strips.cache_info().misses
+    tables = sweep(range(17))
+    # every (rows, r) the shallower depths use, D = 16 uses too
+    assert _vertical_strips.cache_info().misses == strips
+    assert pieri_e.cache_info().misses > strips
+    assert tables[16] == deepest[16]
+    assert sweep(range(16, -1, -1)) == tables

@@ -246,6 +246,13 @@ def test_packed_product_equals_biseries_product(order):
         # untruncated products unpack at every cap as the truncated series
         for cap in range(order + 1):
             assert layout.unpack(p, cap) == BiSeries(cap, want.c)
+            # cutting to a cap gives the packed truncated series, and so
+            # does cutting both operands to it before the product
+            cut = layout.pack(BiSeries(cap, want.c))
+            assert layout.truncate(p, cap) == cut
+            assert layout.truncate(layout.truncate(layout.pack(x), cap)
+                                   * layout.truncate(layout.pack(y), cap),
+                                   cap) == cut
     # sums of untruncated products truncate once, as the kernel does
     for (x, y), (u, v) in zip(pairs[::2], pairs[1::2]):
         if _l1(x) * _l1(y) + _l1(u) * _l1(v) <= TOP:
