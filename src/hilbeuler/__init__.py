@@ -8,8 +8,7 @@ from .partitions import (arm_leg, cells, conjugate, partitions_of,
 from .ratfunc import RF0, RF1, RationalFunction1, rf_str
 from .series import BiSeries
 from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
-                      hall_inner, hl_inner, multiply, principal_spec,
-                      schur_positive, to_finite_vars)
+                      hl_inner, multiply, schur_positive, to_finite_vars)
 from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, expand_in_P, hl_P, hl_Q,
                               jing_J, k_exponent, psi, verify_lemma)
@@ -17,6 +16,6 @@ from .euler import (DEFAULT_CONVENTION, EulerResult, GuardError,
                     cross_check, euler_constant_term, euler_localization,
                     euler_theorem, evaluate, fixed_point_data, omega,
                     partition_function)
-from .fexpr import ParseError, parse, parse_symfunc, render, to_symfunc
+from .fexpr import ParseError, parse, render, to_symfunc
 
 __version__ = "0.1.0"

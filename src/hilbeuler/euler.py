@@ -6,12 +6,14 @@ constant-term formula (nonnegative-orthant pairing), and the
 Hall-Littlewood summation formula. Each builds, for every basis element of
 f, a `WedgeSeries` in integers and expands it into a Laurent table in z1,
 z2 with `WedgeSeries.expand`; `_apply_coefficients` then multiplies in f's
-coefficients, which are rational in z1, and nothing comes after it. A
-cross-check driver compares the three coefficient by coefficient.
+coefficients, which are rational in z1, and nothing comes after it. The
+first two end in a plethystic exponential, which `omega` applies to a wedge
+series in place, one wedge-rule step per factor. A cross-check driver
+compares the three coefficient by coefficient.
 """
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 from fractions import Fraction
@@ -26,7 +28,8 @@ from .xlaurent import XLaurent, add_terms
 # this module by name, so they stay imported here although only k_exponent
 # is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
 # the three evaluators and _delta_kernel by name; euler_localization calls
-# the first three through those names, so a traced run counts them.
+# the first three through those names and euler_constant_term calls omega,
+# so a traced run counts them.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
                               packed_e_times_P, z_multinomial)
 
@@ -67,8 +70,10 @@ def check_guards(method, n, order, force=False):
 #
 # Every denominator a wedge factor creates is a product of (1 - z1^k), so a
 # wedge series keeps integer Laurent polynomials in z1 over one such product.
-# Products convolve numerators and concatenate denominators; no polynomial
-# gcd is taken, and each numerator is expanded only at the end.
+# `omega` updates the numerators row by row and extends the denominator in
+# place; a product, which localization takes only with power sums,
+# convolves numerators and concatenates denominators. No polynomial gcd is
+# taken, and each numerator is expanded only at the end.
 
 class WedgeSeries:
     """Truncated series sum_b z2^b c_b(z1) / prod_{k in den} (1 - z1^k).
@@ -137,55 +142,44 @@ def _holomorphic_part(coeffs, order):
     return BiSeries(order, coeffs)
 
 
-def _wedge_inverse_factor(p, q, order):
-    """(1 - z1^p z2^q)^(-1) expanded by the wedge rule: geometrically in
-    the monomial if it is 'small' (q > 0, or q = 0 < p), else in its
-    inverse."""
-    if (p, q) == (0, 0):
-        raise ValueError("plethystic exponential undefined at the trivial "
-                         "monomial")
-    if q == 0:
-        # 1/(1 - z1^p) for p > 0; for p < 0, -z1^{-p} / (1 - z1^{-p})
-        return WedgeSeries(order, {0: {0: 1} if p > 0 else {-p: -1}},
-                           (abs(p),))
-    if q > 0:
-        return WedgeSeries(order, {k * q: {k * p: 1}
-                                   for k in range(order // q + 1)})
-    # large: (1 - m)^{-1} = -sum_{k>=1} m^{-k}
-    return WedgeSeries(order, {-k * q: {-k * p: -1}
-                               for k in range(1, order // -q + 1)})
+def omega(char, order, ws=None):
+    """Multiply the wedge series ws (default 1) in place by the plethystic
+    exponential of a virtual character, an XLaurent(2, ...) of weight
+    multiplicities, and return it.
 
-
-def _wedge_poly_factor(p, q, order):
-    """(1 - z1^p z2^q) as a wedge series (needs q >= 0)."""
-    if q < 0:
-        raise ValueError("cannot store z2-negative polynomial factor")
-    c = {0: {0: 1}}
-    if q <= order:
-        num = c.setdefault(q, {})
-        num[p] = num.get(p, 0) - 1
-    return WedgeSeries(order, c)
-
-
-def omega(char, order):
-    """Plethystic exponential of a virtual character, an XLaurent(2, ...)
-    of weight multiplicities, as a wedge series.
-
-    Product over monomials m with multiplicity c of (1 - m)^(-c), each
-    factor expanded by the wedge rule (z2 outermost).
+    Omega(char) is the product over monomials m = z1^p z2^q of multiplicity
+    c of (1 - m)^(-c), each factor expanded by the wedge rule (z2
+    outermost), one step per unit of c. A large monomial (q < 0, or
+    q = 0 > p) is made small first: (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)),
+    so ws is shifted once by (-m^(-1))^c. Then z1^p with p > 0 joins den;
+    otherwise row b gains z1^p times row b - q, bottom row up, to divide by
+    1 - m, and loses it, top row down, to multiply by 1 - m (c < 0, which
+    needs q >= 0). No step lowers a z2-degree, so truncating at order
+    commutes with every step.
     """
-    out = WedgeSeries(order, {0: {0: 1}})
-    for (p, q), mult in char.items_sorted():
+    if ws is None:
+        ws = WedgeSeries(order, {0: {0: 1}})
+    for (p, q), c in char.items_sorted():
         if (p, q) == (0, 0):
             raise ValueError("plethystic exponential undefined at the "
                              "trivial monomial")
-        if mult > 0:
-            f = _wedge_inverse_factor(p, q, order)
-        else:
-            f = _wedge_poly_factor(p, q, order)
-        for _ in range(abs(mult)):
-            out = out * f
-    return out
+        if c < 0 and q < 0:
+            raise ValueError("cannot store z2-negative polynomial factor")
+        if c > 0 and (q < 0 or q == 0 > p):
+            p, q, sign = -p, -q, (-1) ** c
+            ws.c = {b + q * c: {e + p * c: sign * v for e, v in row.items()}
+                    for b, row in ws.c.items() if b + q * c <= order}
+        if c > 0 and q == 0:
+            ws.den = tuple(sorted(ws.den + (p,) * c))
+            continue
+        rows = ws.c
+        for _ in range(abs(c)):
+            for b in range(q, order + 1) if c > 0 else range(order, q - 1, -1):
+                src = rows.get(b - q)
+                if src and not add_terms(rows.setdefault(b, {}), [
+                        (e + p, v if c > 0 else -v) for e, v in src.items()]):
+                    del rows[b]
+    return ws
 
 
 def _power_sum(char, k, order):
@@ -200,13 +194,9 @@ def _power_sum(char, k, order):
 # ---------------------------------------------------------------------------
 # fixed-point data
 
-@dataclass
-class FixedPointData:
-    """Characters at a fixed point: integer combinations of torus weights
-    z1^p z2^q, as XLaurent(2, {(p, q): multiplicity})."""
-    mu: tuple
-    taut_char: XLaurent
-    cotangent_char: XLaurent
+#: characters at a fixed point: integer combinations of torus weights
+#: z1^p z2^q, as XLaurent(2, {(p, q): multiplicity})
+FixedPointData = namedtuple("FixedPointData", "mu taut_char cotangent_char")
 
 
 def fixed_point_data(mu, convention=DEFAULT_CONVENTION):
@@ -231,14 +221,9 @@ def fixed_point_data(mu, convention=DEFAULT_CONVENTION):
 # ---------------------------------------------------------------------------
 # results
 
-@dataclass
-class EulerResult:
-    method: str
-    series: BiSeries
-    n: int
-    order: int
-    seconds: float = 0.0
-    convention: str = DEFAULT_CONVENTION
+EulerResult = namedtuple("EulerResult",
+                         "method series n order seconds convention",
+                         defaults=(0.0, DEFAULT_CONVENTION))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +547,8 @@ def euler_constant_term(f, n, order, force=False):
     nonnegative orthant in integers, with the Omega(z1z2 X) factor
     supplying the monomials that raise exponents into it. Omega(z1z2 X)
     times (1 - z1z2)^n is exactly 1 in the window, so the prefactor left
-    is Omega(n z1 + n z2) = 1/((1 - z1)(1 - z2))^n; each table is
-    multiplied by it as a wedge series and expanded, and
+    is Omega(n z1 + n z2) = 1/((1 - z1)(1 - z2))^n; `omega` applies it to
+    each table in place, as a wedge series, the table is expanded, and
     `_apply_coefficients` then multiplies in c_lam / n!.
 
     The kernel, p_lam and the raise cost are all invariant under S_n, so
@@ -577,13 +562,13 @@ def euler_constant_term(f, n, order, force=False):
     fp = to_p(f)
     kern = _delta_kernel(n, order, fp.degree())
     bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
-    prefactor = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order)
     tables = {}
     for lam, bs in _kernel_pairings(kern, fp.c, n, order, bits).items():
         rows = {}
         for (a, b), v in bs.c.items():
             rows.setdefault(b, {})[a] = v
-        tables[lam] = (WedgeSeries(order, rows) * prefactor).expand(order)
+        tables[lam] = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order,
+                            WedgeSeries(order, rows)).expand(order)
     series = _apply_coefficients(tables, fp.c, order, factorial(n))
     return EulerResult("constant-term", series, n, order,
                        time.monotonic() - t0)
@@ -707,23 +692,17 @@ def partition_function(n_max, order):
 # ---------------------------------------------------------------------------
 # cross-check driver
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(namedtuple(
+        "CrossCheckReport", "f_repr n order results agree mismatches "
+        "schur_positive nonneg_ok symmetric_ok symmetry_expected")):
     """Agreement compares every table with the first method's, the one
     reported; symmetry and nonnegativity are judged on that table, which
-    equals every other one exactly when agree holds."""
-    f_repr: str
-    n: int
-    order: int
-    results: dict
-    agree: bool
-    mismatches: list
-    schur_positive: bool
-    nonneg_ok: bool
-    symmetric_ok: bool
-    #: every p-coefficient of f is constant in z1; P/Q atoms bind the
-    #: Hall-Littlewood parameter to z1, and then chi need not be symmetric
-    symmetry_expected: bool
+    equals every other one exactly when agree holds. symmetry_expected
+    holds when every p-coefficient of f is constant in z1; P/Q atoms bind
+    the Hall-Littlewood parameter to z1, and then chi need not be
+    symmetric."""
+
+    __slots__ = ()
 
     def failed_checks(self):
         """(check, method, (a, b), value) for each required property check

@@ -13,7 +13,7 @@ parse(render(tree)) == tree.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .symfunc import SymFunc
 
@@ -24,22 +24,9 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Atom:
-    basis: str
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+Lit = namedtuple("Lit", "value")
+Atom = namedtuple("Atom", "basis parts")
+BinOp = namedtuple("BinOp", "op left right")
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([sphemPQ])\[|([+\-*()\[\],])|(\S))")
@@ -190,7 +177,3 @@ def to_symfunc(tree):
     if tree.op == "-":
         return left - right
     return left * right
-
-
-def parse_symfunc(text):
-    return to_symfunc(parse(text))

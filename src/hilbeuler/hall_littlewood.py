@@ -6,7 +6,7 @@ e-Pieri rule on partitions of bounded length among them), the k-exponent of
 the main summation formula, and its defining identity checker.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -22,10 +22,6 @@ from .xlaurent import add_terms
 # An argument is a finite formal sum of monomials x^e * c(z), stored as a
 # tuple of (x-exponent, coefficient) pairs. The k-th Adams evaluation
 # substitutes x -> x^k and z -> z^k in every monomial.
-
-ARG_ONE = ((0, RF1),)
-ARG_X_ONE_MINUS_Z = ((1, RationalFunction1((1, -1))),)  # x*(1-z)
-ARG_INV_ONE_MINUS_Z = ((0, RF1 / RationalFunction1((1, -1))),)  # (1-z)^{-1}
 
 
 def adams(arg, k):
@@ -278,13 +274,7 @@ def k_exponent(mu, nu):
     return total
 
 
-@dataclass
-class LemmaCheck:
-    mu: tuple
-    nu: tuple
-    ok: bool
-    lhs: RationalFunction1
-    rhs: RationalFunction1
+LemmaCheck = namedtuple("LemmaCheck", "mu nu ok lhs rhs")
 
 
 def verify_lemma(mu, nu):

@@ -109,19 +109,6 @@ class SymFunc:
         f.c = {k: v for k, v in self.c.items() if sum(k) == d}
         return f
 
-    def map_coeffs(self, fn):
-        f = SymFunc(self.basis)
-        for k, v in self.c.items():
-            nv = fn(v)
-            if nv:
-                f.c[k] = nv
-        return f
-
-    def subs_z(self, value):
-        """Evaluate every coefficient at a rational value of the parameter."""
-        return self.map_coeffs(
-            lambda r: RationalFunction1.const(r.eval(value)))
-
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
@@ -381,19 +368,8 @@ def hl_inner(f, g):
     return acc
 
 
-def hall_inner(f, g):
-    """Standard Hall inner product (the z = 0 specialization)."""
-    fp, gp = to_p(f), to_p(g)
-    acc = Fraction(0)
-    for k, v in fp.c.items():
-        w = gp.c.get(k)
-        if w:
-            acc += v.eval(0) * w.eval(0) * zee(k)
-    return acc
-
-
 # ---------------------------------------------------------------------------
-# finite-variable realization and specialization
+# finite-variable realization
 
 def to_finite_vars(f, n, inverted=False):
     """Evaluate f at x_1 + ... + x_n (inverted: at the reciprocal alphabet)."""
@@ -413,40 +389,6 @@ def p_in_x(lam, n, sign):
         out = out * XLaurent(n, {tuple(sign * k if j == i else 0
                                        for j in range(n)): 1
                                  for i in range(n)})
-    return out
-
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += x * y
-    return out
-
-
-def principal_spec(f, order):
-    """Substitute x_i -> t^(i-1) for all i; truncated series in t.
-
-    On p_k this is the substitution p_k -> 1/(1 - t^k). Coefficients of f
-    must be parameter-free rationals.
-    """
-    fp = to_p(f)
-    out = [Fraction(0)] * (order + 1)
-    for lam, coef in fp.c.items():
-        if not coef.is_polynomial() or len(coef.num) > 1:
-            raise ValueError("principal specialization needs z-free "
-                             "coefficients, got %s" % (coef,))
-        c = Fraction(coef.num[0], coef.den[0])
-        term = [Fraction(1)] + [Fraction(0)] * order
-        for k in lam:
-            geo = [Fraction(1 if i % k == 0 else 0) for i in range(order + 1)]
-            term = _series_mul(term, geo, order)
-        for i in range(order + 1):
-            out[i] += c * term[i]
     return out
 
 

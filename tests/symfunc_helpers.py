@@ -1,0 +1,70 @@
+"""Helpers that only the tests use: the Hall inner product and the
+principal specialization as independent checks on the symmetric-function
+layer, the parameter specialization f|_{z = value}, `parse_symfunc`, and
+three plethystic arguments for the vertex-operator identities."""
+
+from fractions import Fraction
+
+from hilbeuler.fexpr import parse, to_symfunc
+from hilbeuler.partitions import zee
+from hilbeuler.ratfunc import RF1, RationalFunction1
+from hilbeuler.symfunc import SymFunc, to_p
+
+ARG_ONE = ((0, RF1),)
+ARG_X_ONE_MINUS_Z = ((1, RationalFunction1((1, -1))),)  # x*(1-z)
+ARG_INV_ONE_MINUS_Z = ((0, RF1 / RationalFunction1((1, -1))),)  # (1-z)^{-1}
+
+
+def parse_symfunc(text):
+    return to_symfunc(parse(text))
+
+
+def subs_z(f, value):
+    """Evaluate every coefficient of f at a rational value of the
+    parameter."""
+    return SymFunc(f.basis, {k: v.eval(value) for k, v in f.c.items()})
+
+
+def hall_inner(f, g):
+    """Standard Hall inner product (the z = 0 specialization)."""
+    fp, gp = to_p(f), to_p(g)
+    acc = Fraction(0)
+    for k, v in fp.c.items():
+        w = gp.c.get(k)
+        if w:
+            acc += v.eval(0) * w.eval(0) * zee(k)
+    return acc
+
+
+def _series_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if i + j > order:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def principal_spec(f, order):
+    """Substitute x_i -> t^(i-1) for all i; truncated series in t.
+
+    On p_k this is the substitution p_k -> 1/(1 - t^k). Coefficients of f
+    must be parameter-free rationals.
+    """
+    fp = to_p(f)
+    out = [Fraction(0)] * (order + 1)
+    for lam, coef in fp.c.items():
+        if not coef.is_polynomial() or len(coef.num) > 1:
+            raise ValueError("principal specialization needs z-free "
+                             "coefficients, got %s" % (coef,))
+        c = Fraction(coef.num[0], coef.den[0])
+        term = [Fraction(1)] + [Fraction(0)] * order
+        for k in lam:
+            geo = [Fraction(1 if i % k == 0 else 0) for i in range(order + 1)]
+            term = _series_mul(term, geo, order)
+        for i in range(order + 1):
+            out[i] += c * term[i]
+    return out

@@ -15,8 +15,8 @@ from hilbeuler.hall_littlewood import (b_norm, b_norm_finite, expand_in_P,
                                        z_bracket)
 from hilbeuler.partitions import partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
-from hilbeuler.symfunc import (SymFunc, hl_inner, multiply, principal_spec,
-                               to_p)
+from hilbeuler.symfunc import SymFunc, hl_inner, multiply, to_p
+from symfunc_helpers import principal_spec, subs_z
 from test_partitions import part_multiplicity_partition
 
 ONE = SymFunc.one()
@@ -132,7 +132,7 @@ def test_criterion_07_jing_vs_gram_schmidt():
         for lam in partitions_of(d):
             ok = ok and to_p(hl_Q(lam)) == oracle[lam].scale(b_norm(lam))
     for lam in partitions_up_to(5):
-        ok = ok and hl_Q(lam).subs_z(0) == to_p(SymFunc.element("s", lam))
+        ok = ok and subs_z(hl_Q(lam), 0) == to_p(SymFunc.element("s", lam))
     _verdict("7 (vertex-operator Q vs Gram-Schmidt; z=0 Schur)", ok)
 
 

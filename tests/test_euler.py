@@ -14,7 +14,6 @@ from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
                              _kernel_pairings, _orbit_size, _pair_kernel,
                              _pairing_bound, _raise_cost, _reach,
                              _theorem_bound, _theorem_numerators,
-                             _wedge_inverse_factor, _wedge_poly_factor,
                              cross_check, euler_constant_term,
                              euler_localization, euler_theorem, evaluate,
                              fixed_point_data, omega, partition_function)
@@ -261,29 +260,46 @@ def _rf_laurent(ws, hi):
 
 
 def test_wedge_products_equal_rational_function_products():
-    # random products of wedge factors (p, q, mult), in both representations
+    # omega applies random factors (p, q, mult) one at a time, in place;
+    # the oracle multiplies rational-function wedge factors. Large
+    # monomials and z1^p with p < 0 get multiplicities up to 3, where the
+    # series is shifted by (-m^-1)^mult at once, and half the starting
+    # series have negative z1 exponents and a den.
     rng = random.Random(2012)
-    for _ in range(60):
+    z = RationalFunction1.z_power
+    for _ in range(80):
         D = rng.randint(0, 5)
-        new = WedgeSeries(D, {0: {0: 1}})
-        old = oracle.WedgeSeries.const(D, RF1)
-        count, factors = rng.randint(1, 5), []
+        rows, den = {0: {0: 1}}, ()
+        if rng.random() < 0.5:
+            rows = {b: {rng.randint(-2, 2): rng.randint(-2, 2)
+                        for _ in range(2)} for b in range(D + 1)}
+            den = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+        new = WedgeSeries(D, rows, den)
+        old = oracle.WedgeSeries(D, {
+            b: sum((z(e) * v for e, v in num.items()), RF0)
+            / prod((RF1 - z(k) for k in den), start=RF1)
+            for b, num in rows.items()})
+        count, factors, char = rng.randint(1, 5), [], {}
         while len(factors) < count:
             p, q = rng.randint(-3, 3), rng.randint(-2, 3)
-            mult = rng.choice((1, 1, 2, -1, -2))
+            large = q < 0 or (q == 0 and p < 0)
+            mult = rng.choice((1, 2, 3, -1) if large else (1, 1, 2, -1, -2))
             if (p, q) == (0, 0) or (mult < 0 and q < 0):
                 continue
             factors.append((p, q, mult))
+            char[(p, q)] = char.get((p, q), 0) + mult
+            assert omega(XLaurent(2, {(p, q): mult}), D, new) is new
             if mult > 0:
-                fn = _wedge_inverse_factor(p, q, D)
                 fo = oracle.wedge_inverse_factor(p, q, D)
             else:
-                fn = _wedge_poly_factor(p, q, D)
                 fo = oracle.wedge_poly_factor(p, q, D)
             for _ in range(abs(mult)):
-                new, old = new * fn, old * fo
+                old = old * fo
+        # one character holding every factor gives the same series
+        once = omega(XLaurent(2, char), D, WedgeSeries(D, rows, den))
         for hi in (D, D + 3):
-            assert new.expand(hi) == _rf_laurent(old, hi), (D, factors)
+            assert new.expand(hi) == _rf_laurent(old, hi), (D, rows, factors)
+            assert once.expand(hi) == new.expand(hi), (D, rows, factors)
 
 
 # ---------------------------------------------------------------------------

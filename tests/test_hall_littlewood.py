@@ -4,12 +4,10 @@ from itertools import combinations
 import pytest
 
 import pieri_by_tuples as pieri_oracle
-from hilbeuler.hall_littlewood import (ARG_INV_ONE_MINUS_Z, ARG_ONE,
-                                       ARG_X_ONE_MINUS_Z, LemmaCheck, adams,
-                                       b_norm, b_norm_finite, expand_in_P,
-                                       gamma_plus,
-                                       gaussian_binomial, hl_P, hl_Q,
-                                       hl_q_row, jing_J, k_exponent,
+from hilbeuler.hall_littlewood import (LemmaCheck, adams, b_norm,
+                                       b_norm_finite, expand_in_P,
+                                       gamma_plus, gaussian_binomial, hl_P,
+                                       hl_Q, hl_q_row, jing_J, k_exponent,
                                        pieri_e, psi, verify_lemma, z_bracket,
                                        z_multinomial)
 from hilbeuler.partitions import (as_partition, conjugate, partitions_of,
@@ -18,6 +16,8 @@ from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.series import unpack
 from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
                                hl_inner, multiply, to_p)
+from symfunc_helpers import (ARG_INV_ONE_MINUS_Z, ARG_ONE, ARG_X_ONE_MINUS_Z,
+                             subs_z)
 
 ONE_MINUS_Z = RationalFunction1((1, -1))
 HALF = RationalFunction1.const(Fraction(1, 2))
@@ -51,7 +51,7 @@ def test_jing_equals_gram_schmidt():
 
 def test_q_at_z0_is_schur():
     for lam in partitions_up_to(5):
-        assert hl_Q(lam).subs_z(0) == to_p(SymFunc.element("s", lam))
+        assert subs_z(hl_Q(lam), 0) == to_p(SymFunc.element("s", lam))
 
 
 def test_unitriangular_m_expansion():

@@ -6,9 +6,9 @@ import pytest
 from hilbeuler.partitions import partitions_of, partitions_up_to, zee
 from hilbeuler.ratfunc import RF1, RationalFunction1
 from hilbeuler.symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc,
-                               convert, hall_inner, hl_inner, multiply,
-                               principal_spec, schur_positive, to_finite_vars,
-                               to_p)
+                               convert, hl_inner, multiply, schur_positive,
+                               to_finite_vars, to_p)
+from symfunc_helpers import hall_inner, principal_spec
 
 CLASSICAL = ("p", "m", "h", "e", "s")
 
