@@ -12,10 +12,9 @@ from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
 from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, expand_in_P, hl_P, hl_Q,
                               jing_J, k_exponent, psi, verify_lemma)
-from .euler import (DEFAULT_CONVENTION, EulerResult, GuardError,
-                    cross_check, euler_constant_term, euler_localization,
-                    euler_theorem, evaluate, fixed_point_data, omega,
-                    partition_function)
+from .euler import (EulerResult, GuardError, cross_check,
+                    euler_constant_term, euler_localization, euler_theorem,
+                    evaluate, fixed_point_data, omega, partition_function)
 from .fexpr import ParseError, parse, render, to_symfunc
 
 __version__ = "0.1.0"

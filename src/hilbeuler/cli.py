@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .euler import (DEFAULT_CONVENTION, METHODS, GuardError, cross_check,
-                    euler_theorem, evaluate, partition_function)
+from .euler import (METHODS, GuardError, cross_check, euler_theorem,
+                    evaluate, partition_function)
 from .fexpr import ParseError, parse, render, to_symfunc
 from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, hl_P, jing_J,
@@ -39,13 +39,13 @@ def _part_key(kv):
     return (sum(k), tuple(-x for x in k))
 
 
-def symfunc_str(f, var="z"):
+def symfunc_str(f):
     """Render a symmetric function, e.g. "m[2] + (1-z)*m[1,1]"."""
     if not f.c:
         return "0"
     terms = []
     for k, v in sorted(f.c.items(), key=_part_key):
-        coef = rf_str(v, var)
+        coef = rf_str(v)
         if not coef.lstrip("-").isdigit() or coef.startswith("-"):
             coef = "(%s)" % coef
         if not k:
@@ -99,17 +99,16 @@ def _emit_table(out, series, max_deg, fmt, meta, agreement=None):
                                            else "MISMATCH"))
 
 
-def cmd_chi(args, out=None):
-    out = out or sys.stdout
+def cmd_chi(args):
     tree = parse(args.f)
     f = to_symfunc(tree)
+    # fixed_point_data's orientation, a key of the JSON schema
     meta = {"method": args.method, "n": args.n, "f": render(tree),
-            "max_deg": args.max_deg, "convention": args.convention}
+            "max_deg": args.max_deg, "convention": "row"}
     if args.method == "all":
-        report = cross_check(f, args.n, args.max_deg,
-                             convention=args.convention)
+        report = cross_check(f, args.n, args.max_deg)
         series = report.results["theorem"].series
-        _emit_table(out, series, args.max_deg, args.format, meta,
+        _emit_table(sys.stdout, series, args.max_deg, args.format, meta,
                     agreement=report.passed)
         for m1, m2, (a, b), v1, v2 in report.mismatches:
             sys.stderr.write("mismatch at z1^%d z2^%d: %s=%s %s=%s\n"
@@ -118,8 +117,8 @@ def cmd_chi(args, out=None):
             sys.stderr.write("%s fails at z1^%d z2^%d: %s=%s\n"
                              % (check, a, b, method, v))
         return 0 if report.passed else 1
-    result = evaluate(args.method, f, args.n, args.max_deg, args.convention)
-    _emit_table(out, result.series, args.max_deg, args.format, meta)
+    result = evaluate(args.method, f, args.n, args.max_deg)
+    _emit_table(sys.stdout, result.series, args.max_deg, args.format, meta)
     return 0
 
 
@@ -220,8 +219,7 @@ def _check_verify_args(args):
                          "is exact for n <= 3 only)")
 
 
-def cmd_verify(args, out=None):
-    out = out or sys.stdout
+def cmd_verify(args):
     _check_verify_args(args)
     if args.suite == "lemma":
         cases = verify_lemma_suite(args.max_size)
@@ -233,7 +231,7 @@ def cmd_verify(args, out=None):
         cases = verify_corollary_suite(args.n, args.max_deg)
     else:
         cases = verify_kprop_suite(args.max_size)
-    return _report(out, cases)
+    return _report(sys.stdout, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,8 @@ def _parse_partition(text):
     return parts
 
 
-def cmd_hl(args, out=None):
-    out = out or sys.stdout
+def cmd_hl(args):
+    out = sys.stdout
     if args.hl_cmd == "poly":
         lam = _parse_partition(args.lam)
         out.write(symfunc_str(convert(hl_P(lam), args.basis)) + "\n")
@@ -301,9 +299,6 @@ def build_parser():
                      choices=[*METHODS, "all"])
     chi.add_argument("--format", default="pretty",
                      choices=["json", "csv", "pretty"])
-    chi.add_argument("--convention", default=DEFAULT_CONVENTION,
-                     choices=["row", "col"],
-                     help="fixed-point weight orientation (localization)")
 
     ver = sub.add_parser("verify", help="run a built-in identity suite")
     vsub = ver.add_subparsers(dest="suite", required=True)

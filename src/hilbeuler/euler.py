@@ -33,10 +33,6 @@ from .xlaurent import XLaurent, add_terms
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
                               packed_e_times_P, z_multinomial)
 
-#: orientation of the fixed-point weight data; frozen by the calibration
-#: test against the partition-function product for n = 1, 2, 3.
-DEFAULT_CONVENTION = "row"
-
 #: the evaluators, by the names `evaluate` and the CLI take
 METHODS = ("theorem", "localization", "constant-term")
 
@@ -52,7 +48,7 @@ class GuardError(ValueError):
 def check_guards(method, n, order, force=False):
     """Raise GuardError if the evaluator named method refuses n points at
     max degree order. Each evaluator calls it before any work, and
-    cross_check calls it for every requested method before running any."""
+    cross_check calls it for every method before running any."""
     if n < 1:
         raise GuardError("n must be >= 1")
     if order < 0:
@@ -199,31 +195,28 @@ def _power_sum(char, k, order):
 FixedPointData = namedtuple("FixedPointData", "mu taut_char cotangent_char")
 
 
-def fixed_point_data(mu, convention=DEFAULT_CONVENTION):
-    """Tautological-fiber and cotangent-fiber characters at a fixed point."""
+def fixed_point_data(mu):
+    """Tautological-fiber and cotangent-fiber characters at a fixed point.
+
+    z1 tracks the arm (row) direction and z2 the leg (column) direction.
+    The other orientation, which swaps z1 and z2, gives at mu the
+    characters this one gives at the conjugate partition mu', so a sum over
+    every mu of n has the same terms either way (the "row" convention of
+    the CLI's JSON output).
+    """
     mu = as_partition(mu)
-    if convention not in ("row", "col"):
-        raise ValueError("convention must be 'row' or 'col'")
-
-    # z1 tracks the arm (row) direction, z2 the leg (column) direction, for
-    # both the tautological fiber and the cotangent weights; "col" swaps them
-    def weight(p, q):
-        return (q, p) if convention == "col" else (p, q)
-
     taut, cot = XLaurent(2), XLaurent(2)
     for (i, j) in cells(mu):
         a, l = arm_leg(mu, (i, j))
-        add_terms(taut.c, [(weight(j, i), 1)])
-        add_terms(cot.c, [(weight(a + 1, -l), 1), (weight(-a, l + 1), 1)])
+        add_terms(taut.c, [((j, i), 1)])
+        add_terms(cot.c, [((a + 1, -l), 1), ((-a, l + 1), 1)])
     return FixedPointData(mu, taut, cot)
 
 
 # ---------------------------------------------------------------------------
 # results
 
-EulerResult = namedtuple("EulerResult",
-                         "method series n order seconds convention",
-                         defaults=(0.0, DEFAULT_CONVENTION))
+EulerResult = namedtuple("EulerResult", "method series n order seconds")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +263,7 @@ def _apply_coefficients(tables, coeffs, order, den=1):
 # ---------------------------------------------------------------------------
 # evaluator 1: fixed-point localization
 
-def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
+def euler_localization(f, n, order):
     """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
 
     With f = sum c_lam p_lam, each p_lam part is summed over mu in integers
@@ -283,7 +276,7 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
     fp = to_p(f)
     sums = {lam: {} for lam in fp.c}
     for mu in partitions_of(n):
-        data = fixed_point_data(mu, convention)
+        data = fixed_point_data(mu)
         om = omega(data.cotangent_char, order)
         for lam, acc in sums.items():
             term = om
@@ -292,7 +285,7 @@ def euler_localization(f, n, order, convention=DEFAULT_CONVENTION):
             add_terms(acc, term.expand(order).items())
     series = _apply_coefficients(sums, fp.c, order)
     return EulerResult("localization", series, n, order,
-                       time.monotonic() - t0, convention)
+                       time.monotonic() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _pair_kernel(order):
     """
     bound = 16 * (order + 1) ** 4
     layout = PackedLayout(order, bound.bit_length() + 1)
-    layout.check(bound)
+    check_width(layout.bits, bound)
 
     def term(a, b):
         return layout.pack(BiSeries.monomial(order, a, b))
@@ -448,7 +441,7 @@ def _delta_kernel(n, order, slack):
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
     layout = PackedLayout(order, bound.bit_length() + 1)
-    layout.check(bound)
+    check_width(layout.bits, bound)
     packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
     # the pair kernel cut to each cap: pair_cut[cap][m]
     pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
@@ -653,9 +646,9 @@ def euler_theorem(f, n, order):
     return EulerResult("theorem", series, n, order, time.monotonic() - t0)
 
 
-def evaluate(method, f, n, order, convention=DEFAULT_CONVENTION):
+def evaluate(method, f, n, order):
     if method == "localization":
-        return euler_localization(f, n, order, convention)
+        return euler_localization(f, n, order)
     if method == "constant-term":
         return euler_constant_term(f, n, order)
     if method == "theorem":
@@ -693,9 +686,9 @@ def partition_function(n_max, order):
 # cross-check driver
 
 class CrossCheckReport(namedtuple(
-        "CrossCheckReport", "f_repr n order results agree mismatches "
-        "schur_positive nonneg_ok symmetric_ok symmetry_expected")):
-    """Agreement compares every table with the first method's, the one
+        "CrossCheckReport", "results agree mismatches schur_positive "
+        "nonneg_ok symmetric_ok symmetry_expected")):
+    """Agreement compares every table with the theorem's, the one
     reported; symmetry and nonnegativity are judged on that table, which
     equals every other one exactly when agree holds. symmetry_expected
     holds when every p-coefficient of f is constant in z1; P/Q atoms bind
@@ -725,26 +718,25 @@ class CrossCheckReport(namedtuple(
         return self.agree and not self.failed_checks()
 
 
-def cross_check(f, n, order, methods=METHODS, convention=DEFAULT_CONVENTION):
-    """Check the guards of every requested evaluator, so a refusal comes
-    before any work, then run them and compare coefficient by coefficient;
-    failures are report content, not exceptions."""
-    for method in methods:
+def cross_check(f, n, order):
+    """Check the guards of every evaluator, so a refusal comes before any
+    work, then run them all and compare each table with the theorem's,
+    coefficient by coefficient; failures are report content, not
+    exceptions."""
+    for method in METHODS:
         check_guards(method, n, order)
-    results = {method: evaluate(method, f, n, order, convention)
-               for method in methods}
-    names = list(results)
+    results = {method: evaluate(method, f, n, order) for method in METHODS}
+    first = METHODS[0]
     mismatches = []
-    base = results[names[0]].series
-    for other in names[1:]:
+    base = results[first].series
+    for other in METHODS[1:]:
         s = results[other].series
         for key in sorted(set(base.c) | set(s.c)):
             va, vb = base.coeff(*key), s.coeff(*key)
             if va != vb:
-                mismatches.append((names[0], other, key, va, vb))
+                mismatches.append((first, other, key, va, vb))
     symmetry_expected = all(c.is_polynomial() and len(c.num) == 1
                             for c in to_p(f).c.values())
-    return CrossCheckReport(repr(f), n, order, results, not mismatches,
-                            mismatches, schur_positive(f),
-                            base.is_nonneg_integral(), base.is_symmetric(),
-                            symmetry_expected)
+    return CrossCheckReport(results, not mismatches, mismatches,
+                            schur_positive(f), base.is_nonneg_integral(),
+                            base.is_symmetric(), symmetry_expected)

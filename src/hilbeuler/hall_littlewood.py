@@ -111,10 +111,7 @@ def b_norm(lam):
     """b_lam(z) = prod over part values i >= 1 of [m_i(lam)]_z."""
     lam = as_partition(lam)
     r = RF1
-    seen = {}
-    for p in lam:
-        seen[p] = seen.get(p, 0) + 1
-    for m in seen.values():
+    for _, m in multiplicities(lam, len(lam)):
         r = r * z_bracket(m)
     return r
 

@@ -87,21 +87,18 @@ def partitions_of(m, max_len=None):
     return out
 
 
-def partitions_up_to(m, max_len=None):
+def partitions_up_to(m):
     """Partitions of every size 0..m, smaller sizes first."""
     out = []
     for d in range(m + 1):
-        out.extend(partitions_of(d, max_len))
+        out.extend(partitions_of(d))
     return out
 
 
 def zee(mu):
     """Order of the centralizer of a permutation of cycle type mu."""
     z = 1
-    seen = {}
-    for p in mu:
-        seen[p] = seen.get(p, 0) + 1
-    for i, m in seen.items():
+    for i, m in multiplicities(mu, len(mu)):
         z *= i ** m * factorial(m)
     return z
 

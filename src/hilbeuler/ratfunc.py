@@ -274,7 +274,7 @@ def rf_expand(r, order):
 # ---------------------------------------------------------------------------
 # rendering
 
-def poly_str(p, var="z"):
+def poly_str(p):
     p = ptrim(p)
     if pis_zero(p):
         return "0"
@@ -285,7 +285,7 @@ def poly_str(p, var="z"):
         if i == 0:
             parts.append(str(c))
         else:
-            mono = var if i == 1 else "%s^%d" % (var, i)
+            mono = "z" if i == 1 else "z^%d" % i
             if c == 1:
                 term = mono
             elif c == -1:
@@ -299,11 +299,11 @@ def poly_str(p, var="z"):
     return s
 
 
-def rf_str(r, var="z"):
-    ns = poly_str(r.num, var)
+def rf_str(r):
+    ns = poly_str(r.num)
     if r.is_polynomial() and r.den == (1,):
         return ns
-    ds = poly_str(r.den, var)
+    ds = poly_str(r.den)
     if len(ptrim(r.num)) > 1 or ns.startswith("-"):
         ns = "(%s)" % ns
     return "%s/(%s)" % (ns, ds)

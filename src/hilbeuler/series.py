@@ -159,7 +159,7 @@ class PackedLayout:
     the product of two packed series, whose slots fill 0 <= a, b <= 2*order,
     never carries one row into the next. Every slot, of a packed series, of
     a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
-    `check` asserts a bound on them.
+    `check_width(B, bound)` asserts a bound on them.
 
     `truncate(p, cap)` cuts p to the window 0 <= a, b <= cap in three int
     operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every
@@ -193,11 +193,6 @@ class PackedLayout:
                                         for row in (row_bias, row_keep,
                                                     row_half))
         return m
-
-    def check(self, bound):
-        """Assert that a slot holds every integer of absolute value at
-        most bound."""
-        check_width(self.bits, bound)
 
     def pack(self, series):
         """The int of an integer BiSeries of order at most this layout's."""

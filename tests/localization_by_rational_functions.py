@@ -7,7 +7,7 @@ plainly correct, and the tests use it as the oracle for `euler.omega`,
 `euler.WedgeSeries` and `euler.euler_localization`.
 """
 
-from hilbeuler.euler import DEFAULT_CONVENTION, fixed_point_data
+from hilbeuler.euler import fixed_point_data
 from hilbeuler.partitions import partitions_of
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.series import BiSeries
@@ -149,13 +149,12 @@ def omega(char, order):
     return out
 
 
-def localization_by_rational_functions(f, n, order,
-                                       convention=DEFAULT_CONVENTION):
+def localization_by_rational_functions(f, n, order):
     """The fixed-point sum of f(taut) * Omega(cotangent), as a BiSeries."""
     fp = to_p(f)
     total = WedgeSeries(order)
     for mu in partitions_of(n):
-        data = fixed_point_data(mu, convention)
+        data = fixed_point_data(mu)
         feval = WedgeSeries(order)
         for lam, coef in fp.c.items():
             term = WedgeSeries.const(order, RF1)

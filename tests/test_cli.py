@@ -233,6 +233,10 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "chi", "--f", "1", "--n", "1",
                    "--method", "bogus")[0] == 2
     assert run_cli(capsys, "hl", "poly", "--lambda", "2,3")[0] == 2
+    # the fixed-point orientation is not an option: transposing every mu
+    # gives the same sum
+    assert run_cli(capsys, "chi", "--f", "1", "--n", "1",
+                   "--convention", "row")[:2] == (2, "")
 
 
 def test_one_parser_per_process_answers_like_fresh_processes():

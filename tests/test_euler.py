@@ -24,7 +24,7 @@ from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
-from hilbeuler.series import BiSeries, PackedLayout, unpack
+from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
 from hilbeuler.symfunc import SymFunc, convert, multiply, p_in_x, to_p
 from hilbeuler.xlaurent import XLaurent, add_terms
 
@@ -97,11 +97,6 @@ def test_fixed_point_data():
     assert data.taut_char == XLaurent(2, {(0, 0): 1, (1, 0): 1})
     assert data.cotangent_char == XLaurent(
         2, {(2, 0): 1, (-1, 1): 1, (1, 0): 1, (0, 1): 1})
-    col = fixed_point_data((2,), convention="col")
-    assert col.taut_char == _swap(data.taut_char)
-    assert col.cotangent_char == _swap(data.cotangent_char)
-    with pytest.raises(ValueError):
-        fixed_point_data((2,), convention="diag")
 
 
 def test_transpose_consistency():
@@ -154,14 +149,6 @@ def test_corollary_all_methods():
         assert euler_localization(ONE, n, D).series == Z[n]
         assert euler_theorem(ONE, n, D).series == Z[n]
         assert euler_constant_term(ONE, n, D).series == Z[n]
-
-
-def test_localization_col_convention_agrees():
-    f = SymFunc.element("s", (2,))
-    for n in (1, 2, 3):
-        row = euler_localization(f, n, 3, convention="row")
-        col = euler_localization(f, n, 3, convention="col")
-        assert row.series == col.series
 
 
 def test_three_way_agreement_nontrivial_f():
@@ -433,12 +420,10 @@ def test_localization_equals_rational_function_oracle():
     cases += [("s[2,1]", 4), ("P[2,1]+2*Q[1]", 4)]
     for expr, n in cases:
         f = to_symfunc(parse(expr))
-        for convention in ("row", "col"):
-            want = oracle.localization_by_rational_functions(f, n, D,
-                                                             convention)
-            for d in range(D + 1):
-                got = euler_localization(f, n, d, convention).series
-                assert got == BiSeries(d, want.c), (expr, n, d, convention)
+        want = oracle.localization_by_rational_functions(f, n, D)
+        for d in range(D + 1):
+            got = euler_localization(f, n, d).series
+            assert got == BiSeries(d, want.c), (expr, n, d)
 
 
 def test_localization_equals_theorem_at_n6_D12():
@@ -526,7 +511,7 @@ def delta_kernel_unpruned(n, order, slack):
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
     layout = PackedLayout(order, bound.bit_length() + 1)
-    layout.check(bound)
+    check_width(layout.bits, bound)
     packed = [(m, layout.pack(bs)) for (m,), bs in pair.items()]
     acc = {(0,) * n: 1}
     for i, j in pairs:
@@ -616,7 +601,7 @@ def delta_kernel_uncut(n, order, slack):
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
     layout = PackedLayout(order, bound.bit_length() + 1)
-    layout.check(bound)
+    check_width(layout.bits, bound)
     packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
     top = max(packed)
     acc = {(0,) * n: 1}

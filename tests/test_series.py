@@ -239,7 +239,7 @@ def test_packed_product_equals_biseries_product(order):
         pairs.append((_random_int_series(rng, order, nx, rng.randint(1, 12)),
                       _random_int_series(rng, order, ny, rng.randint(1, 12))))
     for x, y in pairs:
-        layout.check(_l1(x) * _l1(y))
+        check_width(layout.bits, _l1(x) * _l1(y))
         want = x * y
         p = _packed(layout, x, y)
         assert layout.unpack(layout.truncate(p), order) == want
@@ -262,9 +262,9 @@ def test_packed_product_equals_biseries_product(order):
 
 def test_packed_layout_check_rejects_bounds_its_slots_cannot_hold():
     layout = PackedLayout(3, BITS)
-    layout.check(TOP)
+    check_width(layout.bits, TOP)
     with pytest.raises(AssertionError):
-        layout.check(TOP + 1)
+        check_width(layout.bits, TOP + 1)
     # the check is tight: a slot of 2^(B-1) breaks the product
     x, y = BiSeries(3, {(1, 1): 64}), BiSeries(3, {(1, 2): 64})
     assert _l1(x) * _l1(y) == TOP + 1
