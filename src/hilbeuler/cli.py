@@ -113,7 +113,7 @@ def cmd_chi(args):
         for m1, m2, (a, b), v1, v2 in report.mismatches:
             sys.stderr.write("mismatch at z1^%d z2^%d: %s=%s %s=%s\n"
                              % (a, b, m1, v1, m2, v2))
-        for check, method, (a, b), v in report.failed_checks():
+        for check, method, (a, b), v in report.failures:
             sys.stderr.write("%s fails at z1^%d z2^%d: %s=%s\n"
                              % (check, a, b, method, v))
         return 0 if report.passed else 1
@@ -209,11 +209,8 @@ def verify_kprop_suite(max_size):
 def _check_verify_args(args):
     """Raise GuardError for a size or n the suite cannot run, before any
     case is built or written."""
-    if args.suite in ("lemma", "orthogonality", "cauchy") and \
-            not 0 <= args.max_size <= DEGREE_BOUND:
+    if args.suite != "corollary" and not 0 <= args.max_size <= DEGREE_BOUND:
         raise GuardError("--max-size must be in 0..%d" % DEGREE_BOUND)
-    if args.suite == "kprop" and args.max_size < 0:
-        raise GuardError("--max-size must be >= 0")
     if args.suite == "orthogonality" and not 1 <= args.n <= 3:
         raise GuardError("--n must be in 1..3 (the finite inner product "
                          "is exact for n <= 3 only)")

@@ -12,7 +12,6 @@ series in place, one wedge-rule step per factor. A cross-check driver
 compares the three coefficient by coefficient.
 """
 
-import time
 from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
@@ -192,7 +191,7 @@ def _power_sum(char, k, order):
 
 #: characters at a fixed point: integer combinations of torus weights
 #: z1^p z2^q, as XLaurent(2, {(p, q): multiplicity})
-FixedPointData = namedtuple("FixedPointData", "mu taut_char cotangent_char")
+FixedPointData = namedtuple("FixedPointData", "taut_char cotangent_char")
 
 
 def fixed_point_data(mu):
@@ -210,13 +209,13 @@ def fixed_point_data(mu):
         a, l = arm_leg(mu, (i, j))
         add_terms(taut.c, [((j, i), 1)])
         add_terms(cot.c, [((a + 1, -l), 1), ((-a, l + 1), 1)])
-    return FixedPointData(mu, taut, cot)
+    return FixedPointData(taut, cot)
 
 
 # ---------------------------------------------------------------------------
 # results
 
-EulerResult = namedtuple("EulerResult", "method series n order seconds")
+EulerResult = namedtuple("EulerResult", "series")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,6 @@ def euler_localization(f, n, order):
     is a rational function of z1 for P/Q atoms.
     """
     check_guards("localization", n, order)
-    t0 = time.monotonic()
     fp = to_p(f)
     sums = {lam: {} for lam in fp.c}
     for mu in partitions_of(n):
@@ -283,9 +281,7 @@ def euler_localization(f, n, order):
             for k in lam:
                 term = term * _power_sum(data.taut_char, k, order)
             add_terms(acc, term.expand(order).items())
-    series = _apply_coefficients(sums, fp.c, order)
-    return EulerResult("localization", series, n, order,
-                       time.monotonic() - t0)
+    return EulerResult(_apply_coefficients(sums, fp.c, order))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +547,6 @@ def euler_constant_term(f, n, order, force=False):
     which `_kernel_pairings` takes on packed ints.
     """
     check_guards("constant-term", n, order, force)
-    t0 = time.monotonic()
     fp = to_p(f)
     kern = _delta_kernel(n, order, fp.degree())
     bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
@@ -562,9 +557,8 @@ def euler_constant_term(f, n, order, force=False):
             rows.setdefault(b, {})[a] = v
         tables[lam] = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order,
                             WedgeSeries(order, rows)).expand(order)
-    series = _apply_coefficients(tables, fp.c, order, factorial(n))
-    return EulerResult("constant-term", series, n, order,
-                       time.monotonic() - t0)
+    return EulerResult(_apply_coefficients(tables, fp.c, order,
+                                           factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +629,13 @@ def euler_theorem(f, n, order):
     power series in z1.
     """
     check_guards("theorem", n, order)
-    t0 = time.monotonic()
     fe = convert(to_p(f), "e")
     bits = _theorem_bound(fe.c, n, order).bit_length() + 1
     tables = {}
     for rho, by_m in _theorem_numerators(fe.c, n, order, bits).items():
         rows = {m: dict(enumerate(unpack(p, bits))) for m, p in by_m.items()}
         tables[rho] = WedgeSeries(order, rows, range(1, n + 1)).expand(order)
-    series = _apply_coefficients(tables, fe.c, order)
-    return EulerResult("theorem", series, n, order, time.monotonic() - t0)
+    return EulerResult(_apply_coefficients(tables, fe.c, order))
 
 
 def evaluate(method, f, n, order):
@@ -685,44 +677,24 @@ def partition_function(n_max, order):
 # ---------------------------------------------------------------------------
 # cross-check driver
 
-class CrossCheckReport(namedtuple(
-        "CrossCheckReport", "results agree mismatches schur_positive "
-        "nonneg_ok symmetric_ok symmetry_expected")):
-    """Agreement compares every table with the theorem's, the one
-    reported; symmetry and nonnegativity are judged on that table, which
-    equals every other one exactly when agree holds. symmetry_expected
-    holds when every p-coefficient of f is constant in z1; P/Q atoms bind
-    the Hall-Littlewood parameter to z1, and then chi need not be
-    symmetric."""
-
-    __slots__ = ()
-
-    def failed_checks(self):
-        """(check, method, (a, b), value) for each required property check
-        that fails, naming the first offending coefficient."""
-        method, res = next(iter(self.results.items()))
-        items = res.series.items_sorted()
-        out = []
-        if self.symmetry_expected and not self.symmetric_ok:
-            out.append(next(("symmetry", method, (a, b), v)
-                            for (a, b), v in items
-                            if v != res.series.coeff(b, a)))
-        if self.schur_positive and not self.nonneg_ok:
-            out.append(next(("nonnegativity", method, key, v)
-                            for key, v in items
-                            if v < 0 or v.denominator != 1))
-        return out
-
-    @property
-    def passed(self):
-        return self.agree and not self.failed_checks()
+#: failures holds (check, method, (a, b), value) for the first coefficient
+#: of the theorem's table, in sorted order, that breaks a required property
+CrossCheckReport = namedtuple("CrossCheckReport",
+                              "results mismatches failures passed")
 
 
 def cross_check(f, n, order):
     """Check the guards of every evaluator, so a refusal comes before any
     work, then run them all and compare each table with the theorem's,
     coefficient by coefficient; failures are report content, not
-    exceptions."""
+    exceptions.
+
+    The properties are judged on the theorem's table, which equals every
+    other one when there is no mismatch. Symmetry in z1, z2 is required
+    when every p-coefficient of f is constant in z1 (P/Q atoms bind the
+    Hall-Littlewood parameter to z1, and then chi need not be symmetric);
+    nonnegative integrality is required when f is Schur-positive.
+    """
     for method in METHODS:
         check_guards(method, n, order)
     results = {method: evaluate(method, f, n, order) for method in METHODS}
@@ -735,8 +707,17 @@ def cross_check(f, n, order):
             va, vb = base.coeff(*key), s.coeff(*key)
             if va != vb:
                 mismatches.append((first, other, key, va, vb))
-    symmetry_expected = all(c.is_polynomial() and len(c.num) == 1
-                            for c in to_p(f).c.values())
-    return CrossCheckReport(results, not mismatches, mismatches,
-                            schur_positive(f), base.is_nonneg_integral(),
-                            base.is_symmetric(), symmetry_expected)
+    required = []
+    if all(c.is_polynomial() and len(c.num) == 1 for c in to_p(f).c.values()):
+        required.append(("symmetry", lambda a, b, v: v == base.coeff(b, a)))
+    if schur_positive(f):
+        required.append(("nonnegativity",
+                         lambda a, b, v: v >= 0 and v.denominator == 1))
+    failures = []
+    items = base.items_sorted()
+    for check, holds in required:
+        bad = next(((key, v) for key, v in items if not holds(*key, v)), None)
+        if bad:
+            failures.append((check, first) + bad)
+    return CrossCheckReport(results, mismatches, failures,
+                            not mismatches and not failures)

@@ -15,7 +15,7 @@ parse(render(tree)) == tree.
 import re
 from collections import namedtuple
 
-from .symfunc import SymFunc
+from .symfunc import SymFunc, to_p
 
 
 class ParseError(ValueError):
@@ -163,13 +163,14 @@ def _render(tree, parent_prec):
 
 
 def to_symfunc(tree):
-    """Evaluate a parsed expression to a symmetric function (p-basis)."""
+    """Evaluate a parsed expression to a symmetric function in the p-basis;
+    each atom is converted as it is read, so every operand is in it."""
     if isinstance(tree, Lit):
         return SymFunc.one().scale(tree.value)
     if isinstance(tree, Atom):
         if not tree.parts:
             return SymFunc.one()
-        return SymFunc.element(tree.basis, tree.parts)
+        return to_p(SymFunc.element(tree.basis, tree.parts))
     left = to_symfunc(tree.left)
     right = to_symfunc(tree.right)
     if tree.op == "+":

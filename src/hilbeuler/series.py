@@ -107,13 +107,8 @@ class BiSeries:
     def coeff(self, a, b):
         return self.c.get((a, b), Fraction(0))
 
-    def swap_vars(self):
-        s = BiSeries(self.order)
-        s.c = {(b, a): v for (a, b), v in self.c.items()}
-        return s
-
     def is_symmetric(self):
-        return self == self.swap_vars()
+        return all(self.c.get((b, a)) == v for (a, b), v in self.c.items())
 
     def is_nonneg_integral(self):
         return all(v >= 0 and v.denominator == 1 for v in self.c.values())

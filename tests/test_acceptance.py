@@ -15,7 +15,8 @@ from hilbeuler.hall_littlewood import (b_norm, b_norm_finite, expand_in_P,
                                        z_bracket)
 from hilbeuler.partitions import partitions_of, partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
-from hilbeuler.symfunc import SymFunc, hl_inner, multiply, to_p
+from hilbeuler.symfunc import (SymFunc, hl_inner, multiply, schur_positive,
+                               to_p)
 from symfunc_helpers import principal_spec, subs_z
 from test_partitions import part_multiplicity_partition
 
@@ -69,20 +70,21 @@ def _reports():
 
 
 def test_criterion_02_three_way_agreement():
-    ok = all(rep.agree for rep in _reports().values())
+    ok = all(not rep.mismatches for rep in _reports().values())
     _verdict("2 (three-way agreement, D=5)", ok)
 
 
 def test_criterion_03_nonnegativity():
     ok = True
     for (label, n), rep in _reports().items():
-        if rep.schur_positive:
-            ok = ok and rep.nonneg_ok
+        if schur_positive(dict(F_BASKET)[label]):
+            ok = ok and rep.results["theorem"].series.is_nonneg_integral()
     _verdict("3 (nonnegative integer coefficients for Schur-positive f)", ok)
 
 
 def test_criterion_04_symmetry():
-    ok = all(rep.symmetric_ok for rep in _reports().values())
+    ok = all(rep.results["theorem"].series.is_symmetric()
+             for rep in _reports().values())
     D = 6
     for n in (1, 2, 3, 4):
         ok = ok and euler_theorem(ONE, n, D).series.is_symmetric()

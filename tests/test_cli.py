@@ -197,7 +197,8 @@ def test_verify_suites(capsys):
     ("cauchy", "--max-size", "13"),
     ("lemma", "--max-size", "-2"),
     ("lemma", "--max-size", "13"),
-    ("kprop", "--max-size", "-1")])
+    ("kprop", "--max-size", "-1"),
+    ("kprop", "--max-size", "13")])
 def test_verify_refuses_a_bad_size_before_writing(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2

@@ -25,7 +25,8 @@ from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
 from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
-from hilbeuler.symfunc import SymFunc, convert, multiply, p_in_x, to_p
+from hilbeuler.symfunc import (SymFunc, convert, multiply, p_in_x,
+                               schur_positive, to_p)
 from hilbeuler.xlaurent import XLaurent, add_terms
 
 GEO = RF1 / RationalFunction1((1, -1))
@@ -156,20 +157,22 @@ def test_three_way_agreement_nontrivial_f():
                  SymFunc.element("h", (2,))):
         for n in (2, 3):
             rep = cross_check(expr, n, 3)
-            assert rep.agree, rep.mismatches[:3]
-            assert rep.symmetric_ok
+            assert not rep.mismatches, rep.mismatches[:3]
+            assert rep.results["theorem"].series.is_symmetric()
 
 
 def test_cross_check_report_fields():
-    rep = cross_check(SymFunc.element("s", (2,)), 2, 3)
+    s2 = SymFunc.element("s", (2,))
+    rep = cross_check(s2, 2, 3)
     assert rep.passed
-    assert rep.schur_positive
-    assert rep.nonneg_ok
+    assert schur_positive(s2)
+    assert rep.results["theorem"].series.is_nonneg_integral()
     assert set(rep.results) == {"theorem", "localization", "constant-term"}
     # p2 is not Schur-positive, so nonnegativity is not required for passing
-    rep2 = cross_check(SymFunc.element("p", (2,)), 2, 3)
-    assert not rep2.schur_positive
-    assert rep2.agree
+    p2 = SymFunc.element("p", (2,))
+    rep2 = cross_check(p2, 2, 3)
+    assert not schur_positive(p2)
+    assert not rep2.mismatches
 
 
 def test_guards():

@@ -83,3 +83,13 @@ def test_to_symfunc():
     assert got == want
     # P/Q atoms elaborate through the Hall-Littlewood construction
     assert to_p(parse_symfunc("Q[1]")).c[(1,)].num == (1, -1)
+
+
+def test_to_symfunc_returns_the_p_basis():
+    # each atom is converted as it is read, so no sum is taken in the
+    # basis of its left-most atom
+    for text in ("s[1,1]+s[1]+2*s[]", "P[3]+s[2,1]", "Q[2]*e[1]-m[1,1]"):
+        assert parse_symfunc(text).basis == "p", text
+    want = to_p(SymFunc.element("P", (3,))) + \
+        to_p(SymFunc.element("s", (2, 1)))
+    assert parse_symfunc("P[3]+s[2,1]") == want
