@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .euler import (METHODS, GuardError, cross_check, euler_theorem,
                     evaluate, partition_function)
-from .fexpr import ParseError, parse, render, to_symfunc
+from .fexpr import ParseError, parse, parse_parts, render, to_symfunc
 from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, hl_P, jing_J,
                               k_exponent, verify_lemma)
@@ -234,25 +234,10 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # hl
 
-def _parse_partition(text):
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        parts = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ParseError("partition entries must be integers", 0)
-    if any(p < 1 for p in parts):
-        raise ParseError("partition entries must be positive", 0)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ParseError("parts must be weakly decreasing", 0)
-    return parts
-
-
 def cmd_hl(args):
     out = sys.stdout
     if args.hl_cmd == "poly":
-        lam = _parse_partition(args.lam)
+        lam = parse_parts(args.lam)
         out.write(symfunc_str(convert(hl_P(lam), args.basis)) + "\n")
         return 0
     if args.hl_cmd == "jing":

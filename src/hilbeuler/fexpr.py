@@ -2,19 +2,22 @@
 
 Grammar:
 
-    expr   := term (('+' | '-') term)*
-    term   := factor ('*' factor)*
-    factor := INT | atom | '(' expr ')'
-    atom   := BASIS '[' INT (',' INT)* ']'      BASIS in s p h e m P Q
+    expr    := operand (OP operand)*            OP in + - *
+    operand := INT | ATOM | '(' expr ')'
+    ATOM    := BASIS '[' parts ']'              BASIS in s p h e m P Q
+    parts   := empty | INT (',' INT)*
 
-Partition entries must be weakly decreasing positive integers. `render`
-produces a canonical string with minimal parentheses, so that
-parse(render(tree)) == tree.
+`*` binds tighter than `+` and `-`, and every operator folds left. The
+lexer reads an atom as one token and its parts through `parse_parts`,
+which `hl poly --lambda` shares: entries are positive integers written in
+digits and weakly decreasing. `render` produces a canonical string with
+minimal parentheses, so that parse(render(tree)) == tree.
 """
 
 import re
 from collections import namedtuple
 
+from .partitions import as_partition
 from .symfunc import SymFunc, to_p
 
 
@@ -29,115 +32,84 @@ Atom = namedtuple("Atom", "basis parts")
 BinOp = namedtuple("BinOp", "op left right")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([sphemPQ])\[|([+\-*()\[\],])|(\S))")
+_TOKEN = re.compile(r"\s*(?P<tok>(?P<int>\d+)|(?P<basis>[sphemPQ])\["
+                    r"(?P<parts>[\d,\s]*)(?P<close>\]?)|\S)")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 
 
-def _tokenize(text):
+def parse_parts(text, pos=0):
+    """The partition written in text as comma-separated parts, e.g. "2, 1";
+    blank text is the empty partition. pos is where text starts in the
+    input, so that an error points into it."""
+    if not text.strip():
+        return ()
+    entries = []
+    at = pos
+    for piece in text.split(","):
+        entry = piece.strip()
+        if not entry.isdecimal():
+            raise ParseError("partition entries are digits separated by "
+                             "commas" if entry else
+                             "expected a partition entry", at)
+        entries.append(entry)
+        at += len(piece) + 1
+    try:
+        return as_partition(entries)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
+
+
+def _tokens(text):
+    """(item, pos) for each token of text, then (None, len(text)). An item
+    is a Lit, an Atom, or one of the characters + - * ( )."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(1) is not None:
-            tokens.append(("INT", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("BASIS", m.group(2), m.start(2)))
-            tokens.append(("SYM", "[", m.end(2)))
-        elif m.group(3) is not None:
-            tokens.append(("SYM", m.group(3), m.start(3)))
-        else:
-            raise ParseError("unexpected character %r" % m.group(4),
-                             m.start(4))
-        pos = m.end()
-    tokens.append(("END", None, len(text)))
+    # \S takes any character the other branches refuse, so the matches
+    # cover text end to end except trailing whitespace
+    for m in _TOKEN.finditer(text):
+        tok, pos = m["tok"], m.start("tok")
+        if m["int"] is not None:
+            tok = Lit(int(tok))
+        elif m["basis"] is not None:
+            if not m["close"]:
+                raise ParseError("expected ']'", m.end())
+            tok = Atom(m["basis"], parse_parts(m["parts"], m.start("parts")))
+        elif tok not in "+-*()":
+            raise ParseError("unexpected character %r" % tok, pos)
+        tokens.append((tok, pos))
+    tokens.append((None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, value, pos = self.take()
-        if kind != "SYM" or value != sym:
-            raise ParseError("expected %r" % sym, pos)
-
-    def parse(self):
-        tree = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "END":
-            raise ParseError("unexpected trailing input %r" % (value,), pos)
-        return tree
-
-    def expr(self):
-        tree = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "SYM" and value in ("+", "-"):
-                self.take()
-                tree = BinOp(value, tree, self.term())
-            else:
-                return tree
-
-    def term(self):
-        tree = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "SYM" and value == "*":
-                self.take()
-                tree = BinOp("*", tree, self.factor())
-            else:
-                return tree
-
-    def factor(self):
-        kind, value, pos = self.take()
-        if kind == "INT":
-            return Lit(value)
-        if kind == "BASIS":
-            return self.atom(value)
-        if kind == "SYM" and value == "(":
-            tree = self.expr()
-            self.expect_sym(")")
-            return tree
-        raise ParseError("expected an integer, a basis atom, or '('", pos)
-
-    def atom(self, basis):
-        self.expect_sym("[")
-        parts = []
-        kind, value, pos = self.peek()
-        if kind == "INT":
-            while True:
-                kind, value, pos = self.take()
-                if kind != "INT":
-                    raise ParseError("expected a partition entry", pos)
-                if value < 1:
-                    raise ParseError("partition entries must be positive", pos)
-                parts.append(value)
-                kind, value, pos = self.peek()
-                if kind == "SYM" and value == ",":
-                    self.take()
-                    continue
-                break
-        kind, value, pos = self.take()
-        if kind != "SYM" or value != "]":
-            raise ParseError("expected ']'", pos)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ParseError("parts must be weakly decreasing", pos)
-        return Atom(basis, tuple(parts))
-
-
 def parse(text):
-    return _Parser(text).parse()
+    tokens = _tokens(text)
+    tree, i = _expr(tokens, 0, 1)
+    if tokens[i][0] is not None:
+        raise ParseError("unexpected trailing input", tokens[i][1])
+    return tree
+
+
+def _expr(tokens, i, min_prec):
+    """The expression that starts at tokens[i] and has no operator binding
+    looser than min_prec, and the index of the token after it. The right
+    operand of an operator is read with a higher min_prec, so the loop
+    folds equal operators left."""
+    tok, pos = tokens[i]
+    if tok == "(":
+        tree, i = _expr(tokens, i + 1, 1)
+        if tokens[i][0] != ")":
+            raise ParseError("expected ')'", tokens[i][1])
+    elif isinstance(tok, (Lit, Atom)):
+        tree = tok
+    else:
+        raise ParseError("expected an integer, a basis atom, or '('", pos)
+    i += 1
+    while True:
+        op = tokens[i][0]
+        prec = _PRECEDENCE.get(op, 0)
+        if prec < min_prec:
+            return tree, i
+        right, i = _expr(tokens, i + 1, prec + 1)
+        tree = BinOp(op, tree, right)
 
 
 def render(tree):

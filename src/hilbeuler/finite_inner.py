@@ -69,9 +69,9 @@ def hl_inner_finite(f, g, n):
             if b1 + b2 != 0:
                 continue
             acc = acc + coef * _w(-b1)
-        return acc * RationalFunction1.const(1) / 2
+        return acc / 2
     for (b1, b2, b3), coef in prod.c.items():
         if b1 + b2 + b3 != 0:
             continue
         acc = acc + coef * _inner3(-b1, -b2)
-    return acc * RationalFunction1.const(1) / 6
+    return acc / 6

@@ -63,7 +63,7 @@ def hl_q_row(m):
         coef = RF1
         for part in kappa:
             coef = coef * RationalFunction1((1,) + (0,) * (part - 1) + (-1,))
-        out.c[kappa] = coef * RationalFunction1.const(1) / zee(kappa)
+        out.c[kappa] = coef / zee(kappa)
     return out
 
 
@@ -239,12 +239,19 @@ def expand_in_P(f):
 
 def psi(mu, lam):
     """Pieri coefficient: coefficient of P_mu in h_{|mu|-|lam|} * P_lam."""
-    mu, lam = as_partition(mu), as_partition(lam)
+    return _psi(as_partition(mu), as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _psi(mu, lam):
+    """psi on partition tuples. P and Q are dual, so the coefficient is one
+    pairing with Q_mu, as in `expand_in_P`; `verify_lemma` asks for each
+    (mu, lam) once per nu."""
     diff = sum(mu) - sum(lam)
     if diff < 0:
         return RF0
     h = SymFunc.one() if diff == 0 else SymFunc.element("h", (diff,))
-    val = expand_in_P(multiply(h, hl_P(lam))).get(mu, RF0)
+    val = hl_inner(multiply(h, hl_P(lam)), hl_Q(mu))
     if val and not contains(mu, lam):
         raise AssertionError(
             "nonzero coefficient outside containment support: %r / %r"

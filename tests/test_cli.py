@@ -187,6 +187,14 @@ def test_verify_suites(capsys):
         assert out.strip().endswith("passed")
 
 
+def test_verify_lemma_at_size_five(capsys):
+    # one pairing per (mu, lam), cached across nu: about 2 s, where a full
+    # P-expansion per (mu, nu, lam) took a minute
+    code, out, err = run_cli(capsys, "verify", "lemma", "--max-size", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "361/361 passed"
+
+
 # a size past DEGREE_BOUND, a negative size or an --n the finite inner
 # product cannot take is refused before any case runs or is written
 @pytest.mark.parametrize("argv", [
@@ -211,6 +219,20 @@ def test_hl_poly(capsys):
                              "--basis", "m")
     assert code == 0
     assert out.strip() == "m[2] + (1-z)*m[1,1]"
+
+
+@pytest.mark.parametrize("lam", ["2,x", "0", "1,2", "+1", "1,,1"])
+def test_hl_poly_lambda_follows_the_partition_rule(capsys, lam):
+    code, out, err = run_cli(capsys, "hl", "poly", "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:"), err
+
+
+def test_hl_poly_lambda_accepts_spaces_and_the_empty_partition(capsys):
+    assert run_cli(capsys, "hl", "poly", "--lambda", "2, 1") == \
+        run_cli(capsys, "hl", "poly", "--lambda", "2,1")
+    assert run_cli(capsys, "hl", "poly", "--lambda", "") == (0, "1\n", "")
 
 
 def test_hl_inner(capsys):

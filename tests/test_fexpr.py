@@ -1,9 +1,12 @@
 import random
+import re
 
 import pytest
 
-from hilbeuler.fexpr import Atom, BinOp, Lit, ParseError, parse, render
+from hilbeuler.fexpr import (Atom, BinOp, Lit, ParseError, parse,
+                             parse_parts, render)
 from hilbeuler.symfunc import SymFunc, multiply, to_p
+from parse_by_descent import parse_by_descent
 from symfunc_helpers import parse_symfunc
 
 
@@ -93,3 +96,82 @@ def test_to_symfunc_returns_the_p_basis():
     want = to_p(SymFunc.element("P", (3,))) + \
         to_p(SymFunc.element("s", (2, 1)))
     assert parse_symfunc("P[3]+s[2,1]") == want
+
+
+# ---------------------------------------------------------------------------
+# the accepted language, against the recursive-descent parser it replaced
+
+_LEAKS = ("int()", "literal", "Lit(", "Atom(", "BinOp(")
+
+
+def _assert_same_language(texts):
+    """parse gives parse_by_descent's tree wherever that gives one, and a
+    ParseError that names the fault in words wherever that raises one.
+    Returns the number of texts both accept."""
+    accepted = 0
+    for text in texts:
+        try:
+            want = parse_by_descent(text)
+        except ParseError:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            message = str(info.value)
+            assert not any(leak in message for leak in _LEAKS), (text,
+                                                                 message)
+            if "trailing" in message:
+                assert re.fullmatch(r"unexpected trailing input "
+                                    r"\(at position \d+\)", message), message
+            continue
+        assert parse(text) == want, text
+        accepted += 1
+    return accepted
+
+
+_TOKEN_TEXT = re.compile(r"\d+|[sphemPQ]\[|\S")
+
+
+def test_rendered_trees_parse_as_by_descent():
+    rng = random.Random(23)
+    texts = []
+    for _ in range(500):
+        text = render(_random_tree(rng, 3))
+        spaced = "".join(" " * rng.randint(0, 2) + tok
+                         for tok in _TOKEN_TEXT.findall(text))
+        texts += [text, spaced + " " * rng.randint(0, 2)]
+    assert _assert_same_language(texts) == len(texts)
+
+
+def test_random_strings_parse_as_by_descent():
+    rng = random.Random(29)
+    alphabet = "sphemPQq[](),+-*0123 "
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+             for _ in range(3000)]
+    # atom-shaped strings, so that the bracket contents are varied often
+    texts += ["%s[%s]%s" % (rng.choice("sphemPQq"),
+                            "".join(rng.choice("0123, +") for _ in
+                                    range(rng.randint(0, 6))),
+                            rng.choice(["", "", "]", "*2", "+p[1", ")"]))
+              for _ in range(2000)]
+    assert _assert_same_language(texts) > 100
+
+
+def test_bracket_contents_an_int_call_would_accept_are_refused():
+    cases = ("s[+1]", "s[1_0]", "s[ 1 2 ]", "s[1,,1]", "s[1,]", "s[,1]",
+             "s[-1]", "s[1.0]")
+    assert _assert_same_language(cases) == 0
+    with pytest.raises(ParseError, match=r"^expected '\]' \(at position 3\)"):
+        parse("p[1")
+    with pytest.raises(ParseError, match="^expected a partition entry"):
+        parse("s[1,]")
+
+
+def test_parse_parts_is_the_partition_rule():
+    assert parse_parts("2, 1") == (2, 1)
+    assert parse_parts(" ") == ()
+    assert parse_parts("") == ()
+    for text in ("2,x", "0", "1,2", "+1", "1,,1", "1 1", "1,"):
+        with pytest.raises(ParseError):
+            parse_parts(text)
+    with pytest.raises(ParseError) as info:
+        parse_parts("3,1,,1", 7)
+    assert info.value.pos == 11

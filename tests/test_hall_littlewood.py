@@ -10,8 +10,8 @@ from hilbeuler.hall_littlewood import (LemmaCheck, adams, b_norm,
                                        hl_Q, hl_q_row, jing_J, k_exponent,
                                        pieri_e, psi, verify_lemma, z_bracket,
                                        z_multinomial)
-from hilbeuler.partitions import (as_partition, conjugate, partitions_of,
-                                  partitions_up_to, zee)
+from hilbeuler.partitions import (as_partition, conjugate, contains,
+                                  partitions_of, partitions_up_to, zee)
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.series import unpack
 from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
@@ -250,6 +250,32 @@ def test_psi():
     assert psi((1,), (1,)) == RF1  # h_0 = 1
     # not horizontal-strip supported: multiplication is by plain h_k
     assert psi((1, 1), ()) == RationalFunction1.z_power(1)
+
+
+def psi_by_expansion(mu, lam):
+    """psi as it was first written: the whole P-expansion of h * P_lam,
+    one pairing per partition of |mu|, read at mu."""
+    mu, lam = as_partition(mu), as_partition(lam)
+    diff = sum(mu) - sum(lam)
+    if diff < 0:
+        return RF0
+    h = SymFunc.one() if diff == 0 else SymFunc.element("h", (diff,))
+    val = expand_in_P(multiply(h, hl_P(lam))).get(mu, RF0)
+    if val and not contains(mu, lam):
+        raise AssertionError(
+            "nonzero coefficient outside containment support: %r / %r"
+            % (mu, lam))
+    return val
+
+
+def test_psi_equals_the_full_expansion():
+    for mu in partitions_up_to(4):
+        for lam in partitions_up_to(4):
+            assert psi(mu, lam) == psi_by_expansion(mu, lam), (mu, lam)
+    # lists are validated as partitions before the cached core
+    assert psi([2, 1], [1]) == psi((2, 1), (1,))
+    with pytest.raises(ValueError):
+        psi([1, 2], [1])
 
 
 def test_k_exponent():
