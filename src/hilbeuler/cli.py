@@ -20,9 +20,9 @@ from .euler import (METHODS, GuardError, cross_check, euler_theorem,
                     evaluate, partition_function)
 from .fexpr import ParseError, parse, parse_parts, render, to_symfunc
 from .finite_inner import hl_inner_finite
-from .hall_littlewood import (b_norm, b_norm_finite, hl_P, jing_J,
-                              k_exponent, verify_lemma)
-from .partitions import partitions_of, partitions_up_to, zee
+from .hall_littlewood import (b_norm, b_norm_finite, hl_P, hl_q_row,
+                              jing_J, k_exponent, verify_lemma)
+from .partitions import partitions_of, partitions_up_to
 from .ratfunc import RF0, RF1, RationalFunction1, rf_str
 from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
                       hl_inner, to_p)
@@ -163,16 +163,11 @@ def verify_orthogonality_suite(n, max_size):
 
 def verify_cauchy_suite(max_size):
     """Degree-by-degree expansion of the Hall-Littlewood Cauchy kernel:
-    the x^d coefficient of Omega(x(1-z)XY) equals
-    sum over lam of d of b_lam P_lam(X) P_lam(Y), compared in p tensor p."""
+    the x^d coefficient of Omega(x(1-z)XY), which is hl_q_row(d) on the
+    diagonal of p tensor p, equals sum over lam of d of
+    b_lam P_lam(X) P_lam(Y)."""
     for d in range(max_size + 1):
-        lhs = {}
-        for kappa in partitions_of(d):
-            coef = RF1
-            for part in kappa:
-                coef = coef * RationalFunction1((1,) + (0,) * (part - 1)
-                                                + (-1,))
-            lhs[(kappa, kappa)] = coef / zee(kappa)
+        lhs = {(kappa, kappa): v for kappa, v in hl_q_row(d).c.items()}
         rhs = {}
         for lam in partitions_of(d):
             p1 = to_p(SymFunc.element("P", lam))

@@ -10,8 +10,10 @@ Grammar:
 `*` binds tighter than `+` and `-`, and every operator folds left. The
 lexer reads an atom as one token and its parts through `parse_parts`,
 which `hl poly --lambda` shares: entries are positive integers written in
-digits and weakly decreasing. `render` produces a canonical string with
-minimal parentheses, so that parse(render(tree)) == tree.
+digits and weakly decreasing. An integer has at most MAX_DIGITS digits,
+and an expression nests at most MAX_DEPTH levels, where each operator and
+each pair of parentheses is a level. `render` produces a canonical string
+with minimal parentheses, so that parse(render(tree)) == tree.
 """
 
 import re
@@ -35,6 +37,23 @@ BinOp = namedtuple("BinOp", "op left right")
 _TOKEN = re.compile(r"\s*(?P<tok>(?P<int>\d+)|(?P<basis>[sphemPQ])\["
                     r"(?P<parts>[\d,\s]*)(?P<close>\]?)|\S)")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+#: Python's default limit on the digits int() converts
+MAX_DIGITS = 4300
+#: the parser, `render` and `to_symfunc` recurse once per level
+MAX_DEPTH = 200
+
+
+def _integer(digits, pos):
+    if len(digits) > MAX_DIGITS:
+        raise ParseError("an integer has more than %d digits" % MAX_DIGITS,
+                         pos)
+    return int(digits)
+
+
+def _check_depth(depth, pos):
+    if depth > MAX_DEPTH:
+        raise ParseError("the expression nests more than %d levels deep"
+                         % MAX_DEPTH, pos)
 
 
 def parse_parts(text, pos=0):
@@ -51,7 +70,7 @@ def parse_parts(text, pos=0):
             raise ParseError("partition entries are digits separated by "
                              "commas" if entry else
                              "expected a partition entry", at)
-        entries.append(entry)
+        entries.append(_integer(entry, at))
         at += len(piece) + 1
     try:
         return as_partition(entries)
@@ -68,7 +87,7 @@ def _tokens(text):
     for m in _TOKEN.finditer(text):
         tok, pos = m["tok"], m.start("tok")
         if m["int"] is not None:
-            tok = Lit(int(tok))
+            tok = Lit(_integer(tok, pos))
         elif m["basis"] is not None:
             if not m["close"]:
                 raise ParseError("expected ']'", m.end())
@@ -82,34 +101,40 @@ def _tokens(text):
 
 def parse(text):
     tokens = _tokens(text)
-    tree, i = _expr(tokens, 0, 1)
+    tree, _, i = _expr(tokens, 0, 1, 0)
     if tokens[i][0] is not None:
         raise ParseError("unexpected trailing input", tokens[i][1])
     return tree
 
 
-def _expr(tokens, i, min_prec):
+def _expr(tokens, i, min_prec, depth):
     """The expression that starts at tokens[i] and has no operator binding
-    looser than min_prec, and the index of the token after it. The right
-    operand of an operator is read with a higher min_prec, so the loop
-    folds equal operators left."""
+    looser than min_prec, its height in levels, and the index of the token
+    after it. depth counts the levels known to enclose it; a level that
+    would take depth plus height past MAX_DEPTH is refused at its token, so
+    the recursion stays as shallow as the tree. The right operand of an
+    operator is read with a higher min_prec, so the loop folds equal
+    operators left."""
     tok, pos = tokens[i]
     if tok == "(":
-        tree, i = _expr(tokens, i + 1, 1)
+        _check_depth(depth + 1, pos)
+        tree, height, i = _expr(tokens, i + 1, 1, depth + 1)
+        height += 1
         if tokens[i][0] != ")":
             raise ParseError("expected ')'", tokens[i][1])
     elif isinstance(tok, (Lit, Atom)):
-        tree = tok
+        tree, height = tok, 0
     else:
         raise ParseError("expected an integer, a basis atom, or '('", pos)
     i += 1
     while True:
-        op = tokens[i][0]
+        op, pos = tokens[i]
         prec = _PRECEDENCE.get(op, 0)
         if prec < min_prec:
-            return tree, i
-        right, i = _expr(tokens, i + 1, prec + 1)
-        tree = BinOp(op, tree, right)
+            return tree, height, i
+        _check_depth(depth + height + 1, pos)
+        right, right_height, i = _expr(tokens, i + 1, prec + 1, depth + 1)
+        tree, height = BinOp(op, tree, right), max(height, right_height) + 1
 
 
 def render(tree):

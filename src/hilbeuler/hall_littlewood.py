@@ -13,7 +13,8 @@ from math import prod
 from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
 from .ratfunc import RF0, RF1, RationalFunction1
-from .symfunc import SymFunc, _check_degree, hl_inner, multiply, to_p
+from .symfunc import (SymFunc, _check_degree, from_p, hl_inner, multiply,
+                      to_p)
 from .xlaurent import add_terms
 
 # ---------------------------------------------------------------------------
@@ -226,15 +227,7 @@ def packed_e_times_P(rho, mu, n, bits):
 
 def expand_in_P(f):
     """Coefficients of f on the P-basis: c_lam = (f, Q_lam)_z."""
-    fp = to_p(f)
-    out = {}
-    for d in fp.degrees():
-        comp = fp.homogeneous(d)
-        for lam in partitions_of(d):
-            c = hl_inner(comp, hl_Q(lam))
-            if c:
-                out[lam] = c
-    return out
+    return from_p(to_p(f), "P").c
 
 
 def psi(mu, lam):

@@ -1,9 +1,13 @@
 """Symmetric functions over the field of univariate rational functions.
 
 Bases: power sums (p), monomial (m), complete homogeneous (h), elementary
-(e), Schur (s), and Hall-Littlewood P and Q. All base changes pivot through
-the p-basis. Coefficients are RationalFunction1 values in the
-Hall-Littlewood parameter z.
+(e), Schur (s), and Hall-Littlewood P and Q. Every element is expanded in
+p, and a coefficient is read back as a pairing with the dual basis: the
+coefficient of b_lam in f is <f, b*_lam>, where s* = s, m* = h, h* = m and
+e* = omega m under the Hall inner product (Macdonald I (4.5)-(4.8)), and
+P* = Q, Q* = P under the Hall-Littlewood one (Macdonald III (4.9)).
+Coefficients are RationalFunction1 values in the Hall-Littlewood
+parameter z.
 """
 
 from fractions import Fraction
@@ -104,11 +108,6 @@ class SymFunc:
         """Degrees of the nonzero homogeneous components, ascending."""
         return sorted({sum(k) for k in self.c})
 
-    def homogeneous(self, d):
-        f = SymFunc(self.basis)
-        f.c = {k: v for k, v in self.c.items() if sum(k) == d}
-        return f
-
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
@@ -161,31 +160,17 @@ def p_in_m_matrix(d):
     return out
 
 
-def _invert_matrix(mat, keys):
-    """Invert a dict-of-dicts Fraction matrix over the given key order."""
-    n = len(keys)
-    a = [[Fraction(mat.get(r, {}).get(c, 0)) for c in keys] for r in keys]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = {}
-    for r, kr in enumerate(keys):
-        row = {}
-        for c, kc in enumerate(keys):
-            if inv[r][c]:
-                row[kc] = inv[r][c]
-        out[kr] = row
-    return out
+@lru_cache(maxsize=None)
+def m_in_p(lam):
+    """m_lam in the p-basis. p_lam is prod_i m_i(lam)! m_lam plus c_mu m_mu
+    over partitions mu coarser than lam (its row of `p_in_m_matrix`), so
+    m_lam follows once each coarser m_mu is solved."""
+    row = p_in_m_matrix(sum(lam))[lam]
+    out = {lam: Fraction(1)}
+    for mu, c in row.items():
+        if mu != lam:
+            add_terms(out, ((k, -c * v) for k, v in m_in_p(mu).items()))
+    return {k: v / row[lam] for k, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +183,9 @@ def h_in_p(k):
     return {lam: Fraction(1, zee(lam)) for lam in partitions_of(k)}
 
 
-@lru_cache(maxsize=None)
-def e_in_p(k):
-    _check_degree(k)
-    return {lam: Fraction((-1) ** (k - len(lam)), zee(lam))
-            for lam in partitions_of(k)}
+def _omega(pdict):
+    """The involution omega on a p-expansion: p_k -> (-1)^(|k|-len(k)) p_k."""
+    return {k: (-1) ** (sum(k) - len(k)) * v for k, v in pdict.items()}
 
 
 def _pdict_mul(a, b):
@@ -213,12 +196,17 @@ def _pdict_mul(a, b):
 
 
 @lru_cache(maxsize=None)
-def _prod_in_p(kind, lam):
-    """Product basis element (h_lam or e_lam) expanded in p."""
+def _in_p(basis, lam):
+    """b_lam of a classical basis b (m, h, e or s) expanded in p."""
+    if basis == "m":
+        return m_in_p(lam)
+    if basis == "s":
+        return s_in_p(lam)
+    if basis == "e":
+        return _omega(_in_p("h", lam))
     out = {(): Fraction(1)}
-    base = h_in_p if kind == "h" else e_in_p
     for part in lam:
-        out = _pdict_mul(out, base(part))
+        out = _pdict_mul(out, h_in_p(part))
     return out
 
 
@@ -253,32 +241,29 @@ def s_in_p(lam):
     out = {}
     for hkey, coef in _jacobi_trudi_h(lam).items():
         add_terms(out, ((k, coef * v)
-                        for k, v in _prod_in_p("h", hkey).items()))
+                        for k, v in _in_p("h", hkey).items()))
     return out
 
 
-@lru_cache(maxsize=None)
-def _basis_in_p_matrix(basis, d):
-    """Expansion of every degree-d element of a classical basis in p."""
-    keys = tuple(partitions_of(d))
-    if basis == "h":
-        return {k: _prod_in_p("h", k) for k in keys}
-    if basis == "e":
-        return {k: _prod_in_p("e", k) for k in keys}
-    if basis == "s":
-        return {k: s_in_p(k) for k in keys}
-    if basis == "m":
-        return _invert_matrix(p_in_m_matrix(d), keys)
-    raise ValueError(basis)
+#: the dual of each classical basis under the Hall inner product; that of
+#: e is omega applied to m
+_DUAL = {"s": "s", "m": "h", "h": "m", "e": "m"}
 
 
 @lru_cache(maxsize=None)
 def _p_in_basis_matrix(basis, d):
-    """Expansion of every degree-d p element in a classical basis."""
-    keys = tuple(partitions_of(d))
-    if basis == "m":
-        return p_in_m_matrix(d)
-    return _invert_matrix(_basis_in_p_matrix(basis, d), keys)
+    """Coefficient of b_lam in p_k for all k, lam of degree d: the pairing
+    <p_k, b*_lam> = zee(k) [p_k] b*_lam, gathered as the transpose of the
+    dual elements' p-expansions."""
+    _check_degree(d)
+    out = {k: {} for k in partitions_of(d)}
+    for lam in partitions_of(d):
+        dual = _in_p(_DUAL[basis], lam)
+        if basis == "e":
+            dual = _omega(dual)
+        for k, v in dual.items():
+            out[k][lam] = zee(k) * v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,39 +272,37 @@ def _p_in_basis_matrix(basis, d):
 def to_p(f):
     if f.basis == "p":
         return f
+    out = SymFunc("p")
     if f.basis in ("P", "Q"):
         from .hall_littlewood import hl_P, hl_Q
-        out = SymFunc("p")
         elem = hl_P if f.basis == "P" else hl_Q
         for lam, coef in f.c.items():
             add_terms(out.c, elem(lam).scale(coef).c.items())
         return out
-    out = SymFunc("p")
     for lam, coef in f.c.items():
-        d = sum(lam)
-        _check_degree(d)
-        row = _basis_in_p_matrix(f.basis, d)[lam]
-        add_terms(out.c, ((k, coef * frac) for k, frac in row.items()))
+        _check_degree(sum(lam))
+        add_terms(out.c, ((k, coef * frac)
+                          for k, frac in _in_p(f.basis, lam).items()))
     return out
 
 
 def from_p(f, target):
+    """f, given in p, in the target basis. The coefficient of b_lam is the
+    pairing <f, b*_lam> with the dual basis: hl_inner with Q_lam for P and
+    with P_lam for Q, and the rows of `_p_in_basis_matrix` otherwise."""
     if target == "p":
         return f
-    if target in ("P", "Q"):
-        from .hall_littlewood import expand_in_P, b_norm
-        coeffs = expand_in_P(f)
-        if target == "P":
-            return SymFunc("P", coeffs)
-        return SymFunc("Q", {k: v / b_norm(k) for k, v in coeffs.items()})
     out = SymFunc(target)
-    for d in f.degrees():
-        _check_degree(d)
-        mat = _p_in_basis_matrix(target, d)
-        comp = {k: v for k, v in f.c.items() if sum(k) == d}
-        for lam, coef in comp.items():
-            add_terms(out.c, ((k, coef * frac)
-                              for k, frac in mat[lam].items()))
+    if target in ("P", "Q"):
+        from .hall_littlewood import hl_P, hl_Q
+        dual = hl_Q if target == "P" else hl_P
+        for d in f.degrees():
+            add_terms(out.c, ((lam, hl_inner(f, dual(lam)))
+                              for lam in partitions_of(d)))
+        return out
+    for k, coef in f.c.items():
+        add_terms(out.c, ((lam, coef * frac) for lam, frac
+                          in _p_in_basis_matrix(target, sum(k))[k].items()))
     return out
 
 

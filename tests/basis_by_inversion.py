@@ -1,0 +1,140 @@
+"""Basis changes by matrix inversion.
+
+This is how `hilbeuler.symfunc.from_p` read the coefficients of a
+symmetric function before it paired with the dual basis: a classical
+basis inverted its whole basis -> p matrix by Gauss-Jordan elimination
+over Fractions (the m-basis inverted `p_in_m_matrix`), e_lam was a product
+of signed e_k expansions, and the P and Q bases paired each homogeneous
+component with Q_lam, dividing by b_lam for Q. The tests use it as the
+oracle for the pairing rule: both must give equal coefficients.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hilbeuler.hall_littlewood import b_norm, hl_Q
+from hilbeuler.partitions import partitions_of, zee
+from hilbeuler.symfunc import (SymFunc, _check_degree, _merge, hl_inner,
+                               p_in_m_matrix, s_in_p, to_p)
+from hilbeuler.xlaurent import add_terms
+
+
+def _invert_matrix(mat, keys):
+    """Invert a dict-of-dicts Fraction matrix over the given key order."""
+    n = len(keys)
+    a = [[Fraction(mat.get(r, {}).get(c, 0)) for c in keys] for r in keys]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        inv[col] = [x / pv for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    out = {}
+    for r, kr in enumerate(keys):
+        row = {}
+        for c, kc in enumerate(keys):
+            if inv[r][c]:
+                row[kc] = inv[r][c]
+        out[kr] = row
+    return out
+
+
+def h_in_p(k):
+    return {lam: Fraction(1, zee(lam)) for lam in partitions_of(k)}
+
+
+def e_in_p(k):
+    return {lam: Fraction((-1) ** (k - len(lam)), zee(lam))
+            for lam in partitions_of(k)}
+
+
+def _pdict_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        add_terms(out, ((_merge(k1, k2), v1 * v2) for k2, v2 in b.items()))
+    return out
+
+
+def _prod_in_p(kind, lam):
+    """Product basis element (h_lam or e_lam) expanded in p."""
+    out = {(): Fraction(1)}
+    base = h_in_p if kind == "h" else e_in_p
+    for part in lam:
+        out = _pdict_mul(out, base(part))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _basis_in_p_matrix(basis, d):
+    """Expansion of every degree-d element of a classical basis in p."""
+    keys = tuple(partitions_of(d))
+    if basis == "h":
+        return {k: _prod_in_p("h", k) for k in keys}
+    if basis == "e":
+        return {k: _prod_in_p("e", k) for k in keys}
+    if basis == "s":
+        return {k: s_in_p(k) for k in keys}
+    if basis == "m":
+        return _invert_matrix(p_in_m_matrix(d), keys)
+    raise ValueError(basis)
+
+
+@lru_cache(maxsize=None)
+def _p_in_basis_matrix(basis, d):
+    """Expansion of every degree-d p element in a classical basis."""
+    keys = tuple(partitions_of(d))
+    if basis == "m":
+        return p_in_m_matrix(d)
+    return _invert_matrix(_basis_in_p_matrix(basis, d), keys)
+
+
+def to_p_by_inversion(f):
+    """f in the p-basis, with m from the inverse of `p_in_m_matrix` and e
+    from signed e_k products."""
+    if f.basis in ("p", "P", "Q"):
+        return to_p(f)
+    out = SymFunc("p")
+    for lam, coef in f.c.items():
+        row = _basis_in_p_matrix(f.basis, sum(lam))[lam]
+        add_terms(out.c, ((k, coef * frac) for k, frac in row.items()))
+    return out
+
+
+def expand_in_P(f):
+    """Coefficients of f on the P-basis: c_lam = (f, Q_lam)_z."""
+    fp = to_p(f)
+    out = {}
+    for d in fp.degrees():
+        comp = SymFunc("p")
+        comp.c = {k: v for k, v in fp.c.items() if sum(k) == d}
+        for lam in partitions_of(d):
+            c = hl_inner(comp, hl_Q(lam))
+            if c:
+                out[lam] = c
+    return out
+
+
+def from_p(f, target):
+    if target == "p":
+        return f
+    if target in ("P", "Q"):
+        coeffs = expand_in_P(f)
+        if target == "P":
+            return SymFunc("P", coeffs)
+        return SymFunc("Q", {k: v / b_norm(k) for k, v in coeffs.items()})
+    out = SymFunc(target)
+    for d in f.degrees():
+        _check_degree(d)
+        mat = _p_in_basis_matrix(target, d)
+        comp = {k: v for k, v in f.c.items() if sum(k) == d}
+        for lam, coef in comp.items():
+            add_terms(out.c, ((k, coef * frac)
+                              for k, frac in mat[lam].items()))
+    return out

@@ -1,0 +1,54 @@
+"""Reading a coefficient as a pairing with the dual basis, against the
+matrix inversion it replaced (`basis_by_inversion`): every conversion
+must give the same coefficients, exactly."""
+
+from hilbeuler.hall_littlewood import expand_in_P
+from hilbeuler.partitions import partitions_of, partitions_up_to
+from hilbeuler.symfunc import (BASES, SymFunc, convert, m_in_p,
+                               p_in_m_matrix, to_p)
+import basis_by_inversion as oracle
+from symfunc_helpers import parse_symfunc
+
+CLASSICAL = ("p", "m", "h", "e", "s")
+
+
+def _assert_same(f, targets):
+    """convert(f, t) has the coefficients the inversion path gives."""
+    fp = oracle.to_p_by_inversion(f)
+    assert to_p(f).c == fp.c, f
+    for target in targets:
+        got = convert(f, target)
+        want = oracle.from_p(fp, target)
+        assert (got.basis, got.c) == (want.basis, want.c), (f, target)
+
+
+def test_classical_elements_in_every_basis():
+    # P and Q only up to degree 4, as below: Q_lam of degree 7 take seconds
+    for d in range(8):
+        for lam in partitions_of(d):
+            for basis in CLASSICAL:
+                _assert_same(SymFunc.element(basis, lam),
+                             BASES if d <= 4 else CLASSICAL)
+
+
+def test_hall_littlewood_elements_in_every_basis():
+    for lam in partitions_up_to(4):
+        for basis in ("P", "Q"):
+            _assert_same(SymFunc.element(basis, lam), BASES)
+
+
+def test_parameter_dependent_sums_in_every_basis():
+    # the theorem reads f in e; these carry z in their p-coefficients
+    for text in ("P[2,1]+s[1]", "Q[2]-3*P[1,1]*h[1]", "P[3]*Q[1]+e[2,2]",
+                 "(P[1]+m[1])*(Q[2,1]-p[3])", "Q[4]+P[2,2]+Q[1]+2"):
+        f = parse_symfunc(text)
+        _assert_same(f, BASES)
+        assert expand_in_P(f) == oracle.expand_in_P(f), text
+
+
+def test_m_in_p_is_the_inverse_of_p_in_m_matrix():
+    for d in range(9):
+        keys = tuple(partitions_of(d))
+        inverse = oracle._invert_matrix(p_in_m_matrix(d), keys)
+        for lam in keys:
+            assert m_in_p(lam) == inverse[lam], lam

@@ -104,6 +104,31 @@ def test_chi_parse_error(capsys):
     assert err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize("text", ["+".join(["1"] * 1000),
+                                  "(" * 1200 + "1" + ")" * 1200])
+def test_chi_refuses_an_expression_nested_too_deep(capsys, text):
+    code, out, err = run_cli(capsys, "chi", "--f", text, "--n", "1",
+                             "--max-deg", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse:"), err
+    assert "nests more than 200 levels" in err
+
+
+_LONG_INTEGER = "1" * 4301
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "--f", _LONG_INTEGER, "--n", "1", "--max-deg", "1"),
+    ("chi", "--f", "s[%s]" % _LONG_INTEGER, "--n", "1", "--max-deg", "1"),
+    ("hl", "poly", "--lambda", _LONG_INTEGER)])
+def test_an_integer_of_too_many_digits_is_a_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse: an integer has more than 4300 "
+                          "digits"), err
+    assert "Exceeds" not in err and "set_int_max_str_digits" not in err
+
+
 def test_chi_guard_error(capsys):
     code, out, err = run_cli(capsys, "chi", "--f", "1", "--n", "9",
                              "--max-deg", "1")

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from hilbeuler.fexpr import (Atom, BinOp, Lit, ParseError, parse,
-                             parse_parts, render)
+from hilbeuler.fexpr import (MAX_DEPTH, MAX_DIGITS, Atom, BinOp, Lit,
+                             ParseError, parse, parse_parts, render,
+                             to_symfunc)
 from hilbeuler.symfunc import SymFunc, multiply, to_p
 from parse_by_descent import parse_by_descent
 from symfunc_helpers import parse_symfunc
@@ -175,3 +176,34 @@ def test_parse_parts_is_the_partition_rule():
     with pytest.raises(ParseError) as info:
         parse_parts("3,1,,1", 7)
     assert info.value.pos == 11
+
+
+def test_nesting_is_refused_past_max_depth_at_the_token_that_passes_it():
+    # each operator and each pair of parentheses is a level
+    for text in ("+".join(["1"] * (MAX_DEPTH + 1)),
+                 "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+                 "2*(" * (MAX_DEPTH // 2) + "1" + ")" * (MAX_DEPTH // 2)):
+        tree = parse(text)
+        assert parse(render(tree)) == tree
+        assert to_symfunc(tree) is not None
+    cases = (("+".join(["1"] * (MAX_DEPTH + 2)), 2 * MAX_DEPTH + 1),
+             ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+             ("(" * MAX_DEPTH + "1+1" + ")" * MAX_DEPTH, MAX_DEPTH + 1),
+             ("1*" * (MAX_DEPTH + 1) + "1", 2 * MAX_DEPTH + 1),
+             ("2*(" * (MAX_DEPTH // 2 + 1) + "1" + ")" * (MAX_DEPTH // 2 + 1),
+              3 * (MAX_DEPTH // 2) + 1))
+    for text, pos in cases:
+        with pytest.raises(ParseError, match="nests more than %d levels"
+                           % MAX_DEPTH) as info:
+            parse(text)
+        assert info.value.pos == pos, text
+
+
+def test_integers_are_refused_past_max_digits():
+    digits = "7" * MAX_DIGITS
+    assert parse(digits) == Lit(int(digits))
+    for text, pos in (("1+" + digits + "0", 2), ("s[2,%s0]" % digits, 4)):
+        with pytest.raises(ParseError, match="^an integer has more than "
+                           "%d digits" % MAX_DIGITS) as info:
+            parse(text)
+        assert info.value.pos == pos
