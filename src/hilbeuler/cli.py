@@ -56,11 +56,28 @@ def symfunc_str(f):
     return " + ".join(terms)
 
 
+#: str writes an int of up to 640 digits whatever the process's
+#: sys.get_int_max_str_digits() is, so longer ones go in chunks of 600
+_CHUNK = 10 ** 600
+
+
+def _int_str(k):
+    """str(k) for an int of any length, its chunks split off by divmod."""
+    head, chunks = abs(k), []
+    while head >= _CHUNK:
+        head, low = divmod(head, _CHUNK)
+        chunks.append("%0600d" % low)
+    sign = "-" if k < 0 else ""
+    return sign + str(head) + "".join(reversed(chunks))
+
+
 def _coeff_str(value):
     value = Fraction(value)
+    text = _int_str(value.numerator)
     if value.denominator != 1:
-        log.warning("non-integral coefficient %s encountered", value)
-    return str(value)
+        text += "/" + _int_str(value.denominator)
+        log.warning("non-integral coefficient %s encountered", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

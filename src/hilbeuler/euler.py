@@ -4,12 +4,14 @@ The evaluators are independent up to their last step: fixed-point
 localization (iterated Laurent expansion, z2 outermost), the quiver
 constant-term formula (nonnegative-orthant pairing), and the
 Hall-Littlewood summation formula. Each builds, for every basis element of
-f, a `WedgeSeries` in integers and expands it into a Laurent table in z1,
-z2 with `WedgeSeries.expand`; `_apply_coefficients` then multiplies in f's
-coefficients, which are rational in z1, and nothing comes after it. The
-first two end in a plethystic exponential, which `omega` applies to a wedge
-series in place, one wedge-rule step per factor. A cross-check driver
-compares the three coefficient by coefficient.
+f, a Laurent table in z1, z2 in integers, expanded by
+`WedgeSeries.expand`: localization sums the expanded Omega of each fixed
+point times the basis element on packed ints, and the other two expand one
+`WedgeSeries` per basis element. `_apply_coefficients` then multiplies in
+f's coefficients, which are rational in z1, and nothing comes after it.
+The plethystic exponentials of the first two are applied by `omega` to a
+wedge series in place, one wedge-rule step per factor. A cross-check
+driver compares the three coefficient by coefficient.
 """
 
 from collections import namedtuple
@@ -27,8 +29,9 @@ from .xlaurent import XLaurent, add_terms
 # this module by name, so they stay imported here although only k_exponent
 # is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
 # the three evaluators and _delta_kernel by name; euler_localization calls
-# the first three through those names and euler_constant_term calls omega,
-# so a traced run counts them.
+# the first two through those names and euler_constant_term calls omega,
+# so a traced run counts them. No evaluator multiplies wedge series:
+# WedgeSeries.__mul__ stays for the tracer and for the test oracles.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
                               packed_e_times_P, z_multinomial)
 
@@ -66,9 +69,8 @@ def check_guards(method, n, order, force=False):
 # Every denominator a wedge factor creates is a product of (1 - z1^k), so a
 # wedge series keeps integer Laurent polynomials in z1 over one such product.
 # `omega` updates the numerators row by row and extends the denominator in
-# place; a product, which localization takes only with power sums,
-# convolves numerators and concatenates denominators. No polynomial gcd is
-# taken, and each numerator is expanded only at the end.
+# place; a product convolves numerators and concatenates denominators. No
+# polynomial gcd is taken, and each numerator is expanded only at the end.
 
 class WedgeSeries:
     """Truncated series sum_b z2^b c_b(z1) / prod_{k in den} (1 - z1^k).
@@ -90,8 +92,7 @@ class WedgeSeries:
 
     def __mul__(self, other):
         D = self.order
-        # inline per-term kernel, run once per fixed point and factor; zeros
-        # are dropped once, by the constructor
+        # inline per-term kernel; zeros are dropped once, by the constructor
         out = {}
         for b1, x in self.c.items():
             for b2, y in other.c.items():
@@ -177,15 +178,6 @@ def omega(char, order, ws=None):
     return ws
 
 
-def _power_sum(char, k, order):
-    """p_k of a character with nonnegative z2 powers, as a wedge series."""
-    c = {}
-    for (p, q), mult in char.c.items():
-        num = c.setdefault(k * q, {})
-        num[k * p] = num.get(k * p, 0) + mult
-    return WedgeSeries(order, c)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point data
 
@@ -262,26 +254,72 @@ def _apply_coefficients(tables, coeffs, order, den=1):
 # ---------------------------------------------------------------------------
 # evaluator 1: fixed-point localization
 
+def _localization_bound(fixed, lams, n):
+    """Bound on every slot of the packed sums of `_localization_sums`:
+    sum over mu of max|E_mu| * n^l, with E_mu the expanded Omega of
+    `fixed` and l the largest length in lams.
+
+    p_k(taut_mu) is a sum of n monomials z1^(kj) z2^(ki), one per cell
+    (i, j) of mu, each of coefficient 1 and of nonnegative degrees. So a
+    slot of E_mu times p_k(taut_mu), as of any partial sum of its shifted
+    copies, is a sum of at most n slots of E_mu, and after the l power sums
+    of p_lam a slot is at most n^l max|E_mu|; cutting to the window only
+    drops slots. Summing over mu adds the bounds.
+    """
+    length = max(map(len, lams), default=0)
+    return n ** length * sum(max(map(abs, table.values()), default=0)
+                             for _, table in fixed)
+
+
+def _localization_sums(fixed, lams, n, order, bits):
+    """lam -> {(a, b): int}, a <= order: the sum over the fixed points
+    (taut_mu, E_mu) of `fixed` of E_mu times p_lam(taut_mu), cut to the
+    window, at slot width bits, which must hold `_localization_bound`.
+
+    Each E_mu is one int of a `PackedLayout` whose rows reach down to the
+    deepest negative z1 exponent of any E_mu, with slots rounded up to
+    whole bytes. p_k(taut_mu) multiplies it as one shift-add per cell of
+    mu whose z2-degree ki stays in the window, so the slots stay within
+    2*order, and the product is cut back to the window after every power
+    sum. Products are shared between lams with a common prefix, the fixed
+    points are summed as ints, and each sum is unpacked once.
+    """
+    check_width(bits, _localization_bound(fixed, lams, n))
+    low = max((-a for _, table in fixed for a, _ in table), default=0)
+    layout = PackedLayout(order, -(-bits // 8) * 8, low)
+    totals = dict.fromkeys(lams, 0)
+    for taut, table in fixed:
+        prods = {(): layout.pack_table(table)}
+        for lam in totals:
+            for i, k in enumerate(lam):
+                if lam[:i + 1] not in prods:
+                    x = prods[lam[:i]]
+                    prods[lam[:i + 1]] = layout.truncate(sum(
+                        x << layout.shift(k * p, k * q)
+                        for p, q in taut.c if k * q <= order))
+            totals[lam] += prods[lam]
+    return {lam: layout.unpack_table(p) for lam, p in totals.items()}
+
+
 def euler_localization(f, n, order):
     """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
 
-    With f = sum c_lam p_lam, each p_lam part is summed over mu in integers
-    (every fixed point's numerator expanded once over its own
-    prod (1 - z1^k)); `_apply_coefficients` then multiplies in c_lam, which
-    is a rational function of z1 for P/Q atoms.
+    Omega(cotangent_mu) is expanded once per fixed point into its Laurent
+    table E_mu; with f = sum c_lam p_lam, `_localization_sums` sums
+    E_mu p_lam(taut_mu) over mu on packed ints, and `_apply_coefficients`
+    then multiplies in c_lam, which is a rational function of z1 for P/Q
+    atoms.
     """
     check_guards("localization", n, order)
     fp = to_p(f)
-    sums = {lam: {} for lam in fp.c}
+    fixed = []
     for mu in partitions_of(n):
         data = fixed_point_data(mu)
-        om = omega(data.cotangent_char, order)
-        for lam, acc in sums.items():
-            term = om
-            for k in lam:
-                term = term * _power_sum(data.taut_char, k, order)
-            add_terms(acc, term.expand(order).items())
-    return EulerResult(_apply_coefficients(sums, fp.c, order))
+        fixed.append((data.taut_char,
+                      omega(data.cotangent_char, order).expand(order)))
+    bits = _localization_bound(fixed, fp.c, n).bit_length() + 1
+    return EulerResult(_apply_coefficients(
+        _localization_sums(fixed, fp.c, n, order, bits), fp.c, order))
 
 
 # ---------------------------------------------------------------------------
@@ -484,41 +522,53 @@ def _delta_kernel(n, order, slack):
     return kern
 
 
-def _pairing_bound(kern, lams, n):
-    """Bound on every slot of the packed sums of `_kernel_pairings`:
-    n^d sum_w orbit_size(w) max|K_w|, with d the largest degree in lams.
+def _pairing_bound(kern, n, slack):
+    """Bound on every slot of the packed sums of `_kernel_pairings` for
+    every p_lam of degree at most slack: n^slack sum_w orbit_size(w)
+    max|K_w|.
 
     A slot of sum_w K_w phi_w is a sum over w and k of [(z1z2)^k]phi_w
     times one coefficient of K_w. The coefficients of phi_w are
     orbit_size(w) times those of p_lam(x_1..x_n), which are nonnegative,
     grouped by raise cost, so they sum to at most orbit_size(w) p_lam(1^n)
-    = orbit_size(w) n^len(lam) <= orbit_size(w) n^d.
+    = orbit_size(w) n^len(lam) <= orbit_size(w) n^slack.
     """
-    d = max(map(sum, lams), default=0)
-    return n ** d * sum(_orbit_size(w) * max(map(abs, bs.c.values()))
-                        for w, bs in kern.items())
+    return n ** slack * sum(_orbit_size(w) * max(map(abs, bs.c.values()))
+                            for w, bs in kern.items())
 
 
-def _kernel_pairings(kern, lams, n, order, bits):
+def _weighted_kernel(kern, n, order, slack, bits):
+    """[(w, orbit_size(w) K_w)], each entry one int of
+    `PackedLayout(order, bits)`, at slot width bits, which must hold
+    `_pairing_bound(kern, n, slack)`."""
+    check_width(bits, _pairing_bound(kern, n, slack))
+    layout = PackedLayout(order, bits)
+    return [(w, _orbit_size(w) * layout.pack(bs)) for w, bs in kern.items()]
+
+
+#: (n, order, slack) -> (bits, the `_weighted_kernel` of
+#: `_delta_kernel(n, order, slack)` at bits), which that key determines
+_WEIGHTED = {}
+
+
+def _kernel_pairings(weighted, lams, n, order, bits):
     """lam -> BiSeries of order `order` of sum over the kernel's orbit
     representatives w of orbit_size(w) K_w phi_w, phi_w = sum_t [x^t]p_lam
-    (z1z2)^raise_cost(w + t), at slot width bits, which must hold
-    `_pairing_bound`.
+    (z1z2)^raise_cost(w + t), with weighted the `_weighted_kernel` at slot
+    width bits for a slack of at least every degree in lams.
 
-    Each K_w and each phi_w is one int of `PackedLayout(order, bits)`, with
-    (z1z2)^k a shift by bits*k*(2*order + 2); terms of phi_w of degree
-    k > order leave the window and are dropped. The products, whose slots
-    stay within 2*order, are summed and unpacked once per lam.
+    Each phi_w is one int of `PackedLayout(order, bits)`, with (z1z2)^k a
+    shift by bits*k*(2*order + 2); terms of phi_w of degree k > order leave
+    the window and are dropped. The products, whose slots stay within
+    2*order, are summed and unpacked once per lam.
     """
-    check_width(bits, _pairing_bound(kern, lams, n))
     layout = PackedLayout(order, bits)
-    diag = bits * (layout.stride + 1)
-    packed = [(w, _orbit_size(w) * layout.pack(bs)) for w, bs in kern.items()]
+    diag = layout.shift(1, 1)
     out = {}
     for lam in lams:
         monomials = p_in_x(lam, n, 1).c.items()
         total = 0
-        for w, p in packed:
+        for w, p in weighted:
             phi = 0
             for t, c in monomials:
                 k = _raise_cost([a + b for a, b in zip(w, t)])
@@ -544,14 +594,19 @@ def euler_constant_term(f, n, order, force=False):
     the orthant sum over every exponent vector u of the kernel,
     sum_u K[u] phi(u) with phi(u) = sum_t [x^t]p_lam (z1z2)^raise_cost(u+t),
     is the sum over orbit representatives w of orbit_size(w) K[w] phi(w),
-    which `_kernel_pairings` takes on packed ints.
+    which `_kernel_pairings` takes on packed ints. The packed, weighted
+    kernel of each (n, order, slack) is built once and kept in `_WEIGHTED`.
     """
     check_guards("constant-term", n, order, force)
     fp = to_p(f)
-    kern = _delta_kernel(n, order, fp.degree())
-    bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
+    key = (n, order, fp.degree())
+    kern = _delta_kernel(*key)
+    if key not in _WEIGHTED:
+        bits = _pairing_bound(kern, n, key[2]).bit_length() + 1
+        _WEIGHTED[key] = bits, _weighted_kernel(kern, *key, bits)
+    bits, weighted = _WEIGHTED[key]
     tables = {}
-    for lam, bs in _kernel_pairings(kern, fp.c, n, order, bits).items():
+    for lam, bs in _kernel_pairings(weighted, fp.c, n, order, bits).items():
         rows = {}
         for (a, b), v in bs.c.items():
             rows.setdefault(b, {})[a] = v

@@ -6,8 +6,9 @@ int.
 The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
 
-`PackedLayout` packs an integer series of the window into one Python int
-(Kronecker substitution), so a product is one big-int multiply. A
+`PackedLayout` packs an integer series of the window, or a Laurent table
+in z1 whose rows reach below it, into one Python int (Kronecker
+substitution), so a product is one big-int multiply. A
 univariate polynomial with nonnegative integer coefficients is packed the
 same way as its value at z = 2^bits; `unpack` reads its coefficients back,
 and `check_width` asserts that a slot width holds a bound.
@@ -143,50 +144,79 @@ def unpack(p, bits):
     return tuple(out) or (0,)
 
 
+def _tile(row, step, count):
+    """sum(row << step*i for i in range(count)) for 0 <= row < 2^step, in
+    O(count*step) bit operations: a block of 2^j copies doubles each
+    round, and out takes the blocks of count's binary digits."""
+    out, filled, block, size = 0, 0, row, 1
+    while count:
+        if count & 1:
+            out |= block << step * filled
+            filled += size
+        count >>= 1
+        if count:
+            block |= block << step * size
+            size *= 2
+    return out
+
+
 class PackedLayout:
-    """Integer series of the window 0 <= a, b <= order, each packed into
-    one Python int (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
-    2009).
+    """Integer series of the window -low <= a <= order, 0 <= b <= order,
+    each packed into one Python int (Kronecker substitution; Harvey, J.
+    Symbolic Comput. 44, 2009). low defaults to 0; a layout with low > 0
+    holds Laurent tables in z1.
 
-    Slot (a, b) holds a signed integer at bit B*(a*(2*order + 1) + b), so a
-    packed series is its value at z2 = 2^B, z1 = 2^(B*(2*order + 1)), and
-    sums and products are int + and *. A row is 2*order + 1 slots wide, so
-    the product of two packed series, whose slots fill 0 <= a, b <= 2*order,
-    never carries one row into the next. Every slot, of a packed series, of
-    a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
-    `check_width(B, bound)` asserts a bound on them.
+    Slot (a, b) holds a signed integer at bit B*((a + low)*(2*order + 1) + b),
+    so a packed series is z1^low times its value at z2 = 2^B,
+    z1 = 2^(B*(2*order + 1)), and sums and products are int + and *. A row
+    is 2*order + 1 slots wide, so the product of two packed series, whose
+    slots fill 0 <= b <= 2*order, never carries one row into the next. Every
+    slot, of a packed series, of a product and of a sum of products, must
+    lie in (-2^(B-1), 2^(B-1)); `check_width(B, bound)` asserts a bound on
+    them.
 
-    `truncate(p, cap)` cuts p to the window 0 <= a, b <= cap in three int
-    operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every
-    slot of the rows a <= cap, which makes each of them a digit in
-    [0, 2^B), so no borrow crosses a slot and the rows above cannot reach
-    the bits below them; KEEP masks the digits of the window and KEEP_BIAS
-    takes their bias back off. The masks of each cap are built once.
+    `truncate(p, cap)` cuts p to the window -low <= a <= cap,
+    0 <= b <= cap in three int operations, ((p + BIAS) & KEEP) - KEEP_BIAS:
+    BIAS puts 2^(B-1) in every slot of the rows a <= cap, which makes each
+    of them a digit in [0, 2^B), so no borrow crosses a slot and the rows
+    above cannot reach the bits below them; KEEP masks the digits of the
+    window and KEEP_BIAS takes their bias back off. The masks of each cap
+    are built once.
+
+    `pack_table` and `unpack_table` convert Laurent tables in O(size): they
+    need byte-aligned slots (B a multiple of 8) and go through
+    `int.from_bytes` and `int.to_bytes` on the biased digits.
     """
 
-    __slots__ = ("order", "bits", "stride", "_masks")
+    __slots__ = ("order", "bits", "stride", "low", "_masks")
 
-    def __init__(self, order, bits):
+    def __init__(self, order, bits, low=0):
         self.order = order
         self.bits = bits
         self.stride = 2 * order + 1
+        self.low = low
         self._masks = {}
 
-    def _at(self, a, b):
+    def shift(self, a, b):
+        """The left shift that multiplies a packed series by z1^a z2^b."""
         return self.bits * (a * self.stride + b)
 
+    def _at(self, a, b):
+        return self.shift(a + self.low, b)
+
     def _mask(self, cap):
-        """(BIAS, KEEP, KEEP_BIAS) of the window 0 <= a, b <= cap."""
+        """(BIAS, KEEP, KEEP_BIAS) of the window -low <= a <= cap,
+        0 <= b <= cap."""
         m = self._masks.get(cap)
         if m is None:
             half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
-            row_bias = sum(half << self._at(0, b) for b in range(self.stride))
-            row_keep = sum(digit << self._at(0, b) for b in range(cap + 1))
-            row_half = sum(half << self._at(0, b) for b in range(cap + 1))
-            rows = [self._at(a, 0) for a in range(cap + 1)]
-            m = self._masks[cap] = tuple(sum(row << at for at in rows)
-                                        for row in (row_bias, row_keep,
-                                                    row_half))
+            cols = [self.shift(0, b) for b in range(self.stride)]
+            row_bias = sum(half << at for at in cols)
+            row_keep = sum(digit << at for at in cols[:cap + 1])
+            row_half = sum(half << at for at in cols[:cap + 1])
+            m = self._masks[cap] = tuple(
+                _tile(row, self.shift(1, 0), self.low + cap + 1)
+                for row in (row_bias, row_keep, row_half))
         return m
 
     def pack(self, series):
@@ -195,13 +225,13 @@ class PackedLayout:
 
     def truncate(self, p, cap=None):
         """The packed series or product p with every slot beyond the window
-        0 <= a, b <= cap (default: order) cut."""
+        -low <= a <= cap, 0 <= b <= cap (default: order) cut."""
         bias, keep, keep_bias = self._mask(self.order if cap is None else cap)
         return ((p + bias) & keep) - keep_bias
 
     def unpack(self, p, cap):
-        """BiSeries of order cap <= order of the slots a, b <= cap of p, a
-        packed series or an untruncated product."""
+        """BiSeries of order cap <= order of the slots 0 <= a, b <= cap of
+        p, a packed series or an untruncated product."""
         q = p + self._mask(cap)[0]
         half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
         coeffs = {}
@@ -212,3 +242,37 @@ class PackedLayout:
                 if v:
                     coeffs[(a, b)] = v
         return BiSeries(cap, coeffs)
+
+    def pack_table(self, table):
+        """The int of a Laurent table {(a, b): int} of the window: every
+        slot is written as its biased digit into one byte string, which is
+        read as one int, and the bias is taken off."""
+        bias = self._mask(self.order)[0]
+        width, half = self.bits // 8, 1 << (self.bits - 1)
+        low, stride = self.low, self.stride
+        buf = bytearray(bias.to_bytes(self._at(self.order + 1, 0) // 8,
+                                      "little"))
+        digits = memoryview(buf)
+        for (a, b), v in table.items():
+            at = width * ((a + low) * stride + b)
+            digits[at:at + width] = (v + half).to_bytes(width, "little")
+        return int.from_bytes(buf, "little") - bias
+
+    def unpack_table(self, p):
+        """The nonzero slots {(a, b): int} of p, a packed series of the
+        window, read from the byte string of its biased digits. The rows
+        a < 0 are read only when p has a bit below row 0, which it has
+        exactly when one of their slots is not zero."""
+        width, half = self.bits // 8, 1 << (self.bits - 1)
+        buf = (p + self._mask(self.order)[0]).to_bytes(
+            self._at(self.order + 1, 0) // 8, "little")
+        low = self.low if p & ((1 << self._at(0, 0)) - 1) else 0
+        coeffs = {}
+        for a in range(-low, self.order + 1):
+            row = width * (a + self.low) * self.stride
+            for b in range(self.order + 1):
+                at = row + width * b
+                v = int.from_bytes(buf[at:at + width], "little") - half
+                if v:
+                    coeffs[(a, b)] = v
+        return coeffs

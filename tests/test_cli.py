@@ -129,6 +129,27 @@ def test_an_integer_of_too_many_digits_is_a_parse_error(capsys, argv):
     assert "Exceeds" not in err and "set_int_max_str_digits" not in err
 
 
+def test_a_coefficient_of_more_digits_than_str_writes_prints_exactly(capsys):
+    # (10^3000 - 1)^2 has 6000 digits: two accepted literals whose product
+    # passes the 4300 digits that str writes by default
+    nines = "9" * 3000
+    want = "9" * 2999 + "8" + "0" * 2999 + "1"
+    base = ["chi", "--f", "%s*%s" % (nines, nines), "--n", "1",
+            "--max-deg", "1", "--method", "theorem", "--format"]
+    code, out, err = run_cli(capsys, *base, "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == [
+        [a, b, want] for a in (0, 1) for b in (0, 1)]
+    code, out, err = run_cli(capsys, *base, "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["%d,%d,%s" % (a, b, want)
+                                    for a in (0, 1) for b in (0, 1)]
+    code, out, err = run_cli(capsys, *base, "pretty")
+    assert (code, err) == (0, "")
+    assert [line.split()[1:] for line in out.splitlines()[2:4]] == [
+        [want, want]] * 2
+
+
 def test_chi_guard_error(capsys):
     code, out, err = run_cli(capsys, "chi", "--f", "1", "--n", "9",
                              "--max-deg", "1")

@@ -7,16 +7,19 @@ import pytest
 
 import constant_term_by_fractions as ct_oracle
 import localization_by_rational_functions as oracle
+import localization_by_wedge_products as by_wedges
 import pieri_by_tuples as by_tuples
 from hilbeuler import euler
 from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
                              _delta_kernel, _holomorphic_part,
-                             _kernel_pairings, _orbit_size, _pair_kernel,
+                             _kernel_pairings, _localization_bound,
+                             _localization_sums, _orbit_size, _pair_kernel,
                              _pairing_bound, _raise_cost, _reach,
                              _theorem_bound, _theorem_numerators,
-                             cross_check, euler_constant_term,
-                             euler_localization, euler_theorem, evaluate,
-                             fixed_point_data, omega, partition_function)
+                             _weighted_kernel, cross_check,
+                             euler_constant_term, euler_localization,
+                             euler_theorem, evaluate, fixed_point_data, omega,
+                             partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
                                        expand_in_P, gaussian_binomial, hl_P,
@@ -436,6 +439,71 @@ def test_localization_equals_theorem_at_n6_D12():
                 == euler_theorem(f, 6, 12).series), expr
 
 
+def _fixed_points(mus, order):
+    """(taut_mu, expanded Omega(cotangent_mu)) for each mu, as
+    `euler_localization` builds them."""
+    out = []
+    for mu in mus:
+        data = fixed_point_data(mu)
+        out.append((data.taut_char,
+                    omega(data.cotangent_char, order).expand(order)))
+    return out
+
+
+def packed_sums(lams, n, mus, order):
+    fixed = _fixed_points(mus, order)
+    bits = _localization_bound(fixed, lams, n).bit_length() + 1
+    return _localization_sums(fixed, lams, n, order, bits)
+
+
+def test_packed_localization_equals_wedge_product_oracle():
+    # p-coefficients: positive, mixed-sign, rational in z1, zero at n <= 2,
+    # with a repeated part, none, constant
+    exprs = ("s[2,1]", "p[2]-s[1,1]", "P[2,1]+2*Q[1]", "e[3]",
+             "s[3]-2*s[1,1,1]", "0", "1")
+    cases = [(expr, n, D) for expr in exprs for n in range(1, 7)
+             for D in (0, 1, 3, 5, 8)]
+    cases.append(("s[2,1]", 6, 16))
+    for expr, n, D in cases:
+        f = to_symfunc(parse(expr))
+        lams = to_p(f).c
+        mus = partitions_of(n)
+        assert (packed_sums(lams, n, mus, D)
+                == by_wedges.wedge_product_sums(lams, mus, D)), (expr, n, D)
+        assert (euler_localization(f, n, D).series
+                == by_wedges.localization_by_wedge_products(f, n, D).series)
+
+
+def test_localization_width_one_bit_short_of_the_bound_is_refused():
+    for expr, n, D in (("s[2,1]", 6, 16), ("p[2]-s[1,1]", 3, 5), ("1", 1, 0)):
+        lams = to_p(to_symfunc(parse(expr))).c
+        fixed = _fixed_points(partitions_of(n), D)
+        bits = _localization_bound(fixed, lams, n).bit_length() + 1
+        _localization_sums(fixed, lams, n, D, bits)
+        with pytest.raises(AssertionError, match="slot width"):
+            _localization_sums(fixed, lams, n, D, bits - 1)
+
+
+def test_a_packed_sum_with_a_pole_reaches_the_holomorphy_check():
+    # a single fixed point is not holomorphic at z1 = 0: its sums keep
+    # their rows a < 0, and _apply_coefficients refuses them as it refuses
+    # the oracle's
+    D = 4
+    fp = to_p(to_symfunc(parse("p[2]-s[1,1]")))
+    poles = 0
+    for mu in partitions_of(3):
+        got = packed_sums(fp.c, 3, [mu], D)
+        want = by_wedges.wedge_product_sums(fp.c, [mu], D)
+        assert got == want, mu
+        if any(a < 0 for table in got.values() for a, _ in table):
+            poles += 1
+            err = _error(_apply_coefficients, got, fp.c, D)
+            assert err == _error(_apply_coefficients, want, fp.c, D)
+            assert err[0] is ArithmeticError
+            assert "is not holomorphic at z1=0" in err[1], err
+    assert poles
+
+
 # ---------------------------------------------------------------------------
 # constant-term against its Fraction-series oracle
 
@@ -739,20 +807,23 @@ def test_packed_pairings_equal_dict_oracle():
     cases += [("s[2,1]", 4, 4)]
     for expr, n, D in cases:
         fp = to_p(to_symfunc(parse(expr)))
-        kern = _delta_kernel(n, D, fp.degree())
-        bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
-        assert (_kernel_pairings(kern, fp.c, n, D, bits)
+        slack = fp.degree()
+        kern = _delta_kernel(n, D, slack)
+        bits = _pairing_bound(kern, n, slack).bit_length() + 1
+        weighted = _weighted_kernel(kern, n, D, slack, bits)
+        assert (_kernel_pairings(weighted, fp.c, n, D, bits)
                 == kernel_pairings_by_dicts(kern, fp.c, n, D)), (expr, n, D)
 
 
 def test_pairing_width_one_bit_short_of_the_bound_is_refused():
     for expr, n, D in (("s[2,1]", 3, 7), ("p[2]-s[1,1]", 2, 3), ("1", 1, 0)):
         fp = to_p(to_symfunc(parse(expr)))
-        kern = _delta_kernel(n, D, fp.degree())
-        bits = _pairing_bound(kern, fp.c, n).bit_length() + 1
-        _kernel_pairings(kern, fp.c, n, D, bits)
+        slack = fp.degree()
+        kern = _delta_kernel(n, D, slack)
+        bits = _pairing_bound(kern, n, slack).bit_length() + 1
+        _weighted_kernel(kern, n, D, slack, bits)
         with pytest.raises(AssertionError, match="slot width"):
-            _kernel_pairings(kern, fp.c, n, D, bits - 1)
+            _weighted_kernel(kern, n, D, slack, bits - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -292,3 +292,26 @@ def test_packed_nonnegative_polynomial_product_equals_pmul():
         check_width(BITS, TOP + 1)
     with pytest.raises(AssertionError, match="negative"):
         unpack(-1, BITS)
+
+
+def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
+    # rows down to a = -low and byte-aligned slots, with slot values up to
+    # +-(2^(B-1) - 1); a shifted copy, z1^i z2^j times the table, keeps its
+    # slots within 2*order and is cut back to the window
+    rng = random.Random(20)
+    for order, low, bits in ((0, 0, 8), (3, 2, 8), (4, 5, 16)):
+        layout = PackedLayout(order, bits, low)
+        top = (1 << (bits - 1)) - 1
+        window = [(a, b) for a in range(-low, order + 1)
+                  for b in range(order + 1)]
+        for _ in range(40):
+            keys = rng.sample(window, rng.randint(0, len(window)))
+            table = add_terms({}, ((k, rng.choice((-top, top, rng.randint(
+                -top, top)))) for k in keys))
+            p = layout.pack_table(table)
+            assert layout.unpack_table(p) == table
+            i, j = rng.randint(0, order + low), rng.randint(0, order)
+            shifted = {(a + i, b + j): v for (a, b), v in table.items()
+                       if a + i <= order and b + j <= order}
+            cut = layout.truncate(p << bits * (i * layout.stride + j))
+            assert layout.unpack_table(cut) == shifted
