@@ -7,8 +7,10 @@ Hall-Littlewood summation formula. Each builds, for every basis element of
 f, a Laurent table in z1, z2 in integers, expanded by
 `WedgeSeries.expand`: localization sums the expanded Omega of each fixed
 point times the basis element on packed ints, and the other two expand one
-`WedgeSeries` per basis element. `_apply_coefficients` then multiplies in
-f's coefficients, which are rational in z1, and nothing comes after it.
+`WedgeSeries` per basis element. `_basis_tables` keeps each table per
+(method, n, order, basis element), so a later call builds only the tables
+it lacks. `_apply_coefficients` then multiplies in f's coefficients, which
+are rational in z1, and nothing comes after it.
 The plethystic exponentials of the first two are applied by `omega` to a
 wedge series in place, one wedge-rule step per factor. A cross-check
 driver compares the three coefficient by coefficient.
@@ -211,7 +213,23 @@ EulerResult = namedtuple("EulerResult", "series")
 
 
 # ---------------------------------------------------------------------------
-# f's coefficients, applied once for every evaluator
+# one table per basis element, and f's coefficients, applied once for every
+# evaluator
+
+#: (method, n, order, lam) -> the Laurent table of the basis element lam,
+#: which depends on nothing else, so every call in the process shares it
+_TABLES = {}
+
+
+def _basis_tables(method, n, order, lams, build):
+    """lam -> Laurent table for every lam in lams, served from `_TABLES`;
+    build(missing) gives the tables of the lams not cached yet."""
+    missing = [lam for lam in lams if (method, n, order, lam) not in _TABLES]
+    if missing:
+        for lam, table in build(missing).items():
+            _TABLES[(method, n, order, lam)] = table
+    return {lam: _TABLES[(method, n, order, lam)] for lam in lams}
+
 
 def _apply_coefficients(tables, coeffs, order, den=1):
     """BiSeries of sum over lam of coeffs[lam] * tables[lam] / den.
@@ -304,57 +322,77 @@ def _localization_sums(fixed, lams, n, order, bits):
 def euler_localization(f, n, order):
     """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
 
-    Omega(cotangent_mu) is expanded once per fixed point into its Laurent
-    table E_mu; with f = sum c_lam p_lam, `_localization_sums` sums
-    E_mu p_lam(taut_mu) over mu on packed ints, and `_apply_coefficients`
-    then multiplies in c_lam, which is a rational function of z1 for P/Q
-    atoms.
+    With f = sum c_lam p_lam, each p_lam not in `_basis_tables` yet needs
+    Omega(cotangent_mu) expanded once per fixed point into its Laurent
+    table E_mu; `_localization_sums` sums E_mu p_lam(taut_mu) over mu on
+    packed ints, and `_apply_coefficients` then multiplies in c_lam, which
+    is a rational function of z1 for P/Q atoms.
     """
     check_guards("localization", n, order)
     fp = to_p(f)
-    fixed = []
-    for mu in partitions_of(n):
-        data = fixed_point_data(mu)
-        fixed.append((data.taut_char,
-                      omega(data.cotangent_char, order).expand(order)))
-    bits = _localization_bound(fixed, fp.c, n).bit_length() + 1
+
+    def build(lams):
+        fixed = []
+        for mu in partitions_of(n):
+            data = fixed_point_data(mu)
+            fixed.append((data.taut_char,
+                          omega(data.cotangent_char, order).expand(order)))
+        bits = _localization_bound(fixed, lams, n).bit_length() + 1
+        return _localization_sums(fixed, lams, n, order, bits)
+
     return EulerResult(_apply_coefficients(
-        _localization_sums(fixed, fp.c, n, order, bits), fp.c, order))
+        _basis_tables("localization", n, order, fp.c, build), fp.c, order))
 
 
 # ---------------------------------------------------------------------------
 # evaluator 2: quiver constant-term formula
 
-@lru_cache(maxsize=None)
-def _pair_kernel(order):
+def _pair_kernel(order, bits):
     """Bilateral expansion in u = x_i/x_j of the ordered-pair factors
 
-    (1-u)(1-1/u)(1-z1z2*u)(1-z1z2/u) / ((1-z1*u)(1-z1/u)(1-z2*u)(1-z2/u))
+    (1-u)(1-1/u)(1-z1z2*u)(1-z1z2/u) / ((1-z1*u)(1-z1/u)(1-z2*u)(1-z2/u)),
 
-    as an XLaurent in u with BiSeries coefficients, each z-geometric factor
-    truncated at the window order.
+    truncated at the window order: u-exponent m -> its nonzero coefficient,
+    one int of `PackedLayout(order, bits)`. bits must hold 2^4 (order + 1)^4.
 
-    The eight factors are XLaurents of ints of one `PackedLayout`, each
-    product truncated to the window, and each coefficient is unpacked once.
-    The l1 norm of a product is at most the product of the l1 norms, and
-    truncation only drops terms, so every slot of every partial product and
-    sum is bounded by 2^4 (order + 1)^4: four binomials of norm 2 and four
+    The series is kept as its u-coefficients, and each factor is one
+    recurrence over m whose every step is a shift and a truncate. Times
+    1 - c u^s (s = 1 or -1) is the difference new[m] = old[m] - c old[m - s];
+    over 1 - c u^s, c = z1 or z2, is the running sum
+    new[m] = old[m] + c new[m - s], taken in the direction of s. The running
+    sum divides by the whole geometric series, whose terms past c^order
+    leave the window, so it equals the product with the factor truncated at
+    c^order.
+
+    Bit width: a slot of a step, before its truncate, is a signed sum of
+    distinct coefficients of the series before the step, so it is at most
+    that series' l1 norm. After the step the series is the product with the
+    truncated factor, cut to the window; the l1 norm of a product is at most
+    the product of the l1 norms, and truncation only drops terms. So every
+    slot is bounded by 2^4 (order + 1)^4: four binomials of norm 2 and four
     geometric series of order + 1 terms.
+
+    Signs: u -> -u and z1, z2 -> -z1, -z2 turn every factor into one of
+    nonnegative coefficients, (1+u)(1+1/u)(1+z1z2*u)(1+z1z2/u) over the same
+    denominators, so the coefficient of u^m z1^a z2^b is (-1)^(m+a+b) times
+    a nonnegative one, and sum_m |K_m| is that product at u = 1:
+    4 (1 + z1z2)^2 / ((1 - z1)^2 (1 - z2)^2), cut to the window.
     """
-    bound = 16 * (order + 1) ** 4
-    layout = PackedLayout(order, bound.bit_length() + 1)
-    check_width(layout.bits, bound)
-
-    def term(a, b):
-        return layout.pack(BiSeries.monomial(order, a, b))
-
-    factors = [{(0,): 1, (u,): -term(a, a)} for a in (0, 1) for u in (1, -1)]
-    factors += [{(u * k,): term(a * k, b * k) for k in range(order + 1)}
-                for a, b in ((1, 0), (0, 1)) for u in (1, -1)]
-    acc = XLaurent.const(1, 1)
-    for fac in factors:
-        acc = (acc * XLaurent(1, fac)).map_coeffs(layout.truncate)
-    return acc.map_coeffs(lambda p: layout.unpack(p, order))
+    check_width(bits, 16 * (order + 1) ** 4)
+    layout = PackedLayout(order, bits)
+    series = {0: 1}
+    for a, b, sign in ((0, 0, -1), (1, 1, -1), (1, 0, 1), (0, 1, 1)):
+        shift, reach = layout.shift(a, b), order if sign > 0 else 1
+        for s in (1, -1):
+            lo, hi = min(series), max(series)
+            new = {}
+            for m in (range(lo, hi + reach + 1) if s > 0
+                      else range(hi, lo - reach - 1, -1)):
+                prev = (new if sign > 0 else series).get(m - s, 0)
+                new[m] = layout.truncate(series.get(m, 0)
+                                         + (sign * prev << shift))
+            series = new
+    return {m: p for m, p in series.items() if p}
 
 
 def _raise_cost(v):
@@ -371,18 +409,95 @@ def _orbit_size(w):
     return size
 
 
-def _reach(w, i, order, budget):
-    """The largest cap, at most order, of a final vector that w, whose
-    coordinates 0..i are final, can still reach sorted (descending) with
-    raise cost at most budget; negative if it reaches none. w[0..i] must be
-    sorted and w[i] at least the mean of the rest, and the raise cost of
-    w[0..i] plus that of the rest's sum is a lower bound on the final raise
-    cost."""
-    rest = sum(w[i + 1:])
-    if not (all(w[k] >= w[k + 1] for k in range(i))
-            and w[i] * (len(w) - i - 1) >= rest):
-        return -1
-    return min(order, budget - _raise_cost(w[:i + 1]) - max(0, -rest))
+def _row_end_caps(v, i, order, budget, top):
+    """[(m, cap)] of the pair (i, n-1) that ends row i, from the state v:
+    every m with |m| <= top whose target w = v + m(e_i - e_(n-1)) can still
+    reach a final vector of cap >= 0, with the largest cap it reaches (see
+    `_delta_kernel`). With k = n-i-1 and r = v[i+1] + ... + v[n-1], the m
+    of w[i] * k >= r - m are m >= ceil((r - v[i] k)/(k + 1)), and those of
+    w[i-1] >= w[i] are m <= v[i-1] - v[i]."""
+    k = len(v) - i - 1
+    rest = sum(v[i + 1:])
+    lo = max(-top, -((v[i] * k - rest) // (k + 1)))
+    hi = min(top, v[i - 1] - v[i]) if i else top
+    spent = budget - _raise_cost(v[:i])
+    out = []
+    for m in range(lo, hi + 1):
+        cap = min(order, spent - max(0, -v[i] - m) - max(0, m - rest))
+        if cap >= 0:
+            out.append((m, cap))
+    return out
+
+
+def _majorants(order, stages):
+    """The coefficients of S_1..S_stages, each a tuple indexed by
+    a*(2*order + 1) + b: S_1 = M = sum_m |K_m| coefficientwise over the
+    order-`order` pair kernel K, which is 4 (1 + z1z2)^2 / ((1 - z1)^2
+    (1 - z2)^2) cut to the window (see `_pair_kernel`), and
+    S_k = trunc(S_(k-1)) M, the product itself not truncated. They are
+    nonnegative and at most L^stages, L the sum of M's coefficients, so they
+    are taken on packed ints of that width."""
+    total = {(a, b): 4 * sum(comb(2, t) * (a - t + 1) * (b - t + 1)
+                             for t in range(min(a, b, 2) + 1))
+             for a in range(order + 1) for b in range(order + 1)}
+    width = (sum(total.values()) ** stages).bit_length() + 1
+    layout = PackedLayout(order, width)
+    majorant = layout.pack(BiSeries(order, total))
+    out, s = [], 1
+    for _ in range(stages):
+        s = layout.truncate(s) * majorant
+        out.append(unpack(s, layout.bits))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kernel_bound(n, order):
+    """Bound on every slot of a `_kernel_build` of n variables: the largest
+    coefficient of the majorants S_1..S_#pairs, or the bound of
+    `_pair_kernel`, which the build runs at its own width, if larger."""
+    return max([16 * (order + 1) ** 4,
+                *map(max, _majorants(order, n * (n - 1) // 2))])
+
+
+def _kernel_build(n, order, slack, bits):
+    """The kernel of `_delta_kernel(n, order, slack)` built from its pair
+    kernels on packed ints at slot width bits, which must hold
+    `_kernel_bound(n, order)`."""
+    check_width(bits, _kernel_bound(n, order))
+    budget = order + slack
+    layout = PackedLayout(order, bits)
+    packed = _pair_kernel(order, bits)
+    # the pair kernel cut to each cap: pair_cut[cap][m]
+    pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
+                for cap in range(order + 1)]
+    top = max(packed)
+    acc = {(0,) * n: (1, order)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            out, caps = {}, {}
+            for v, (x, reach) in acc.items():
+                x_cut = {reach: x}
+                for m, cap in (_row_end_caps(v, i, order, budget, top)
+                               if j == n - 1 else
+                               [(m, reach) for m in packed]):
+                    y = pair_cut[cap].get(m)
+                    if not y:
+                        continue
+                    w = list(v)
+                    w[i] += m
+                    w[j] -= m
+                    w = tuple(w)
+                    xc = x_cut.get(cap)
+                    if xc is None:
+                        xc = x_cut[cap] = layout.truncate(x, cap)
+                    out[w] = out.get(w, 0) + xc * y
+                    caps[w] = cap
+            acc = {}
+            for w, p in out.items():
+                p = layout.truncate(p, caps[w])
+                if p:
+                    acc[w] = (p, caps[w])
+    return {w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}
 
 
 #: (n, order, slack) -> kernel of every `_delta_kernel` build in this
@@ -420,21 +535,19 @@ def _delta_kernel(n, order, slack):
     at least its mean; and raise_cost(w') = raise_cost(w[0..i]) +
     sum_{k>i} max(0, -w'[k]) >= raise_cost(w[0..i]) + max(0, -r), so
     cap(w') <= reach(w) = min(order, budget - raise_cost(w[0..i]) -
-    max(0, -r)). `_reach` returns it, or -1 where the first two conditions
-    fail; a target of negative reach reaches only vectors the kernel leaves
-    out and is dropped. The pair kernel has no negative z-degree, so the
-    terms of an entry above its reach only feed terms above the caps of the
-    vectors it reaches: each entry is cut to its reach, and so are both
+    max(0, -r)). The states before the pair are sorted in their first i
+    coordinates already, so for each state the first two conditions are
+    one range of m, which `_row_end_caps` solves for, and it computes each
+    reach in closed form; a target of negative reach reaches only vectors
+    the kernel leaves out and is dropped. At the last pair (n-2, n-1) the
+    reach is cap(w) itself. The pair kernel has no negative z-degree, so
+    the terms of an entry above its reach only feed terms above the caps of
+    the vectors it reaches: each entry is cut to its reach, and so are both
     operands of each product into it. A pair of row i keeps coordinates
     0..i-1 and the sum of the rest, so a target of a pair that ends no row
     has its sources' common reach, and the reach never rises from a source
-    to a target. The last pair (n-2, n-1) ends the last row, where the
-    reach is cap(w), and its m is solved for instead of tried:
-    w[n-2] = v[n-2] + m >= w[n-1] = v[n-1] - m holds exactly for
-    m >= ceil((v[n-1] - v[n-2])/2), and, for n > 2, w[n-3] = v[n-3] >=
-    w[n-2] exactly for m <= v[n-3] - v[n-2]. Cutting drops no entry; it
-    shrinks the ints, most at the last pair, where most caps are far below
-    order.
+    to a target. Cutting drops no entry; it shrinks the ints, most at the
+    last pair, where most caps are far below order.
 
     Covering builds: the entry at w is the product of all pair kernels read
     at cap(w); the order-D pair kernel read at degrees <= order is the
@@ -450,15 +563,19 @@ def _delta_kernel(n, order, slack):
     window in three int operations, exact while every slot has absolute
     value below 2^(B-1).
 
-    Bit width: let L = sum_m ||K_m||_1 over the order-D pair kernel K. The
-    l1 norm of a product is at most the product of the l1 norms, and
-    truncation only drops terms, so after k pair products an entry, a sum
-    over the choices (m_1..m_k) that reach it of truncated products of
-    K_m_i, has ||.||_1 <= sum over all choices of prod ||K_m_i||_1 = L^k;
-    the same sum bounds the products summed into it, of cut operands or
-    not, and pruning only drops choices. So every slot is bounded by
-    L^#pairs, and B = (L^#pairs).bit_length() + 1 suffices (B = 43 for
-    n = 3, D = 7).
+    Bit width: let M = sum_m |K_m|, coefficientwise, over the pair kernel
+    K, and A_k the coefficientwise sum of |entry| over the entries after k
+    pairs (A_0 = 1). Each (source, m) has one target, and a product's
+    coefficients are at most the products of its operands' absolute
+    values, so every slot of every product, partial sum and entry of pair k
+    is at most the matching coefficient of sum over (source, m) of
+    |cut source| |cut K_m| <= trunc(A_(k-1)) M, its operands being cut to
+    caps <= order and pruning only dropping terms; and A_k <= trunc(A_(k-1)
+    M). By induction A_(k-1) <= trunc(S_(k-1)) for the majorants of
+    `_majorants`, so pair k stays within S_k, and `_kernel_bound`, the
+    largest coefficient of S_1..S_#pairs, bounds every slot: B = 33 for
+    n = 3, D = 7, against 43 from the l1 bound L^#pairs. The pair kernel
+    is built at B too, so B also holds its own bound.
     """
     budget = order + slack
     cover = min((key for key in _BUILDS if key[0] == n and key[1] >= order
@@ -470,55 +587,8 @@ def _delta_kernel(n, order, slack):
             if bs:
                 kern[w] = bs
         return kern
-    pair = _pair_kernel(order).c
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
-    bound **= len(pairs)
-    layout = PackedLayout(order, bound.bit_length() + 1)
-    check_width(layout.bits, bound)
-    packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
-    # the pair kernel cut to each cap: pair_cut[cap][m]
-    pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
-                for cap in range(order + 1)]
-    top = max(pair_cut[0])
-    acc = {(0,) * n: (1, order)}
-    for i, j in pairs:
-        last = (i, j) == pairs[-1]
-        out, caps = {}, {}
-        for v, (x, reach) in acc.items():
-            ms = pair_cut[0]
-            if last:
-                lo = max(-top, -((v[i] - v[j]) // 2))
-                hi = min(top, v[i - 1] - v[i]) if i else top
-                ms = range(lo, hi + 1)
-            x_cut = {reach: x}
-            for m in ms:
-                w = list(v)
-                w[i] += m
-                w[j] -= m
-                w = tuple(w)
-                cap = reach
-                if last:
-                    cap = min(order, budget - _raise_cost(w))
-                elif j == n - 1:
-                    cap = _reach(w, i, order, budget)
-                if cap < 0:
-                    continue
-                y = pair_cut[cap].get(m)
-                if not y:
-                    continue
-                xc = x_cut.get(cap)
-                if xc is None:
-                    xc = x_cut[cap] = layout.truncate(x, cap)
-                out[w] = out.get(w, 0) + xc * y
-                caps[w] = cap
-        acc = {}
-        for w, p in out.items():
-            p = layout.truncate(p, caps[w])
-            if p:
-                acc[w] = (p, caps[w])
-    kern = _BUILDS[(n, order, slack)] = {
-        w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}
+    bits = _kernel_bound(n, order).bit_length() + 1
+    kern = _BUILDS[(n, order, slack)] = _kernel_build(n, order, slack, bits)
     return kern
 
 
@@ -544,11 +614,6 @@ def _weighted_kernel(kern, n, order, slack, bits):
     check_width(bits, _pairing_bound(kern, n, slack))
     layout = PackedLayout(order, bits)
     return [(w, _orbit_size(w) * layout.pack(bs)) for w, bs in kern.items()]
-
-
-#: (n, order, slack) -> (bits, the `_weighted_kernel` of
-#: `_delta_kernel(n, order, slack)` at bits), which that key determines
-_WEIGHTED = {}
 
 
 def _kernel_pairings(weighted, lams, n, order, bits):
@@ -594,26 +659,31 @@ def euler_constant_term(f, n, order, force=False):
     the orthant sum over every exponent vector u of the kernel,
     sum_u K[u] phi(u) with phi(u) = sum_t [x^t]p_lam (z1z2)^raise_cost(u+t),
     is the sum over orbit representatives w of orbit_size(w) K[w] phi(w),
-    which `_kernel_pairings` takes on packed ints. The packed, weighted
-    kernel of each (n, order, slack) is built once and kept in `_WEIGHTED`.
+    which `_kernel_pairings` takes on packed ints. Each table is paired
+    once per (n, order) and kept by `_basis_tables`: a call pairs only the
+    p_lam not kept yet, against the kernel of the largest slack they need.
     """
     check_guards("constant-term", n, order, force)
     fp = to_p(f)
-    key = (n, order, fp.degree())
-    kern = _delta_kernel(*key)
-    if key not in _WEIGHTED:
-        bits = _pairing_bound(kern, n, key[2]).bit_length() + 1
-        _WEIGHTED[key] = bits, _weighted_kernel(kern, *key, bits)
-    bits, weighted = _WEIGHTED[key]
-    tables = {}
-    for lam, bs in _kernel_pairings(weighted, fp.c, n, order, bits).items():
-        rows = {}
-        for (a, b), v in bs.c.items():
-            rows.setdefault(b, {})[a] = v
-        tables[lam] = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order,
-                            WedgeSeries(order, rows)).expand(order)
-    return EulerResult(_apply_coefficients(tables, fp.c, order,
-                                           factorial(n)))
+
+    def build(lams):
+        slack = max(map(sum, lams))
+        kern = _delta_kernel(n, order, slack)
+        bits = _pairing_bound(kern, n, slack).bit_length() + 1
+        weighted = _weighted_kernel(kern, n, order, slack, bits)
+        tables = {}
+        for lam, bs in _kernel_pairings(weighted, lams, n, order,
+                                        bits).items():
+            rows = {}
+            for (a, b), v in bs.c.items():
+                rows.setdefault(b, {})[a] = v
+            tables[lam] = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order,
+                                WedgeSeries(order, rows)).expand(order)
+        return tables
+
+    return EulerResult(_apply_coefficients(
+        _basis_tables("constant-term", n, order, fp.c, build), fp.c, order,
+        factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +744,9 @@ def euler_theorem(f, n, order):
     a polynomial with nonnegative integer coefficients. The terms of each
     (rho, m) are summed as ints packed at one slot width that
     `_theorem_bound` proves wide enough, and each sum is unpacked once;
-    per e_rho these numerators form one wedge series over [n]_z1, and
-    `_apply_coefficients` multiplies in the e-coefficients of f.
+    per e_rho these numerators form one wedge series over [n]_z1, whose
+    expansion `_basis_tables` keeps, and `_apply_coefficients` multiplies
+    in the e-coefficients of f.
 
     No term needs a holomorphy check of its own: with a = mu'_i and
     b = nu'_i, k(mu, nu) = sum_i [C(a, 2) + C(b, 2) - ab]
@@ -685,12 +756,17 @@ def euler_theorem(f, n, order):
     """
     check_guards("theorem", n, order)
     fe = convert(to_p(f), "e")
-    bits = _theorem_bound(fe.c, n, order).bit_length() + 1
-    tables = {}
-    for rho, by_m in _theorem_numerators(fe.c, n, order, bits).items():
-        rows = {m: dict(enumerate(unpack(p, bits))) for m, p in by_m.items()}
-        tables[rho] = WedgeSeries(order, rows, range(1, n + 1)).expand(order)
-    return EulerResult(_apply_coefficients(tables, fe.c, order))
+
+    def build(rhos):
+        bits = _theorem_bound(rhos, n, order).bit_length() + 1
+        return {rho: WedgeSeries(order, {m: dict(enumerate(unpack(p, bits)))
+                                         for m, p in by_m.items()},
+                                 range(1, n + 1)).expand(order)
+                for rho, by_m in _theorem_numerators(rhos, n, order,
+                                                     bits).items()}
+
+    return EulerResult(_apply_coefficients(
+        _basis_tables("theorem", n, order, fe.c, build), fe.c, order))
 
 
 def evaluate(method, f, n, order):

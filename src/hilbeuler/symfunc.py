@@ -288,17 +288,19 @@ def to_p(f):
 
 def from_p(f, target):
     """f, given in p, in the target basis. The coefficient of b_lam is the
-    pairing <f, b*_lam> with the dual basis: hl_inner with Q_lam for P and
-    with P_lam for Q, and the rows of `_p_in_basis_matrix` otherwise."""
+    pairing <f, b*_lam> with the dual basis: hl_inner with Q_lam for P, the
+    same divided by b_lam for Q (the dual basis P_lam is Q_lam / b_lam), and
+    the rows of `_p_in_basis_matrix` otherwise."""
     if target == "p":
         return f
     out = SymFunc(target)
     if target in ("P", "Q"):
-        from .hall_littlewood import hl_P, hl_Q
-        dual = hl_Q if target == "P" else hl_P
+        from .hall_littlewood import b_norm, hl_Q
         for d in f.degrees():
-            add_terms(out.c, ((lam, hl_inner(f, dual(lam)))
-                              for lam in partitions_of(d)))
+            for lam in partitions_of(d):
+                c = hl_inner(f, hl_Q(lam))
+                add_terms(out.c, [(lam, c if target == "P"
+                                   else c / b_norm(lam))])
         return out
     for k, coef in f.c.items():
         add_terms(out.c, ((lam, coef * frac) for lam, frac

@@ -2,10 +2,11 @@
 matrix inversion it replaced (`basis_by_inversion`): every conversion
 must give the same coefficients, exactly."""
 
-from hilbeuler.hall_littlewood import expand_in_P
+from hilbeuler.hall_littlewood import expand_in_P, hl_P
 from hilbeuler.partitions import partitions_of, partitions_up_to
-from hilbeuler.symfunc import (BASES, SymFunc, convert, m_in_p,
+from hilbeuler.symfunc import (BASES, SymFunc, convert, hl_inner, m_in_p,
                                p_in_m_matrix, to_p)
+from hilbeuler.xlaurent import add_terms
 import basis_by_inversion as oracle
 from symfunc_helpers import parse_symfunc
 
@@ -52,3 +53,22 @@ def test_m_in_p_is_the_inverse_of_p_in_m_matrix():
         inverse = oracle._invert_matrix(p_in_m_matrix(d), keys)
         for lam in keys:
             assert m_in_p(lam) == inverse[lam], lam
+
+
+def q_coefficients_by_P_pairing(f):
+    """The Q-coefficients of f as `from_p` read them before it divided by
+    b_lam: the pairing of f with the dual basis element P_lam."""
+    fp = to_p(f)
+    out = SymFunc("Q")
+    for d in fp.degrees():
+        add_terms(out.c, ((lam, hl_inner(fp, hl_P(lam)))
+                          for lam in partitions_of(d)))
+    return out
+
+
+def test_q_coefficients_equal_the_P_pairing():
+    fs = [SymFunc.element("s", lam) for lam in partitions_up_to(5)]
+    fs.append(parse_symfunc("P[2,1]+Q[1]"))
+    for f in fs:
+        got, want = convert(f, "Q"), q_coefficients_by_P_pairing(f)
+        assert (got.basis, got.c) == (want.basis, want.c), f

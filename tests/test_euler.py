@@ -6,17 +6,21 @@ from math import comb, factorial, prod
 import pytest
 
 import constant_term_by_fractions as ct_oracle
+import delta_kernel_by_reach as by_reach
 import localization_by_rational_functions as oracle
 import localization_by_wedge_products as by_wedges
 import pieri_by_tuples as by_tuples
 from hilbeuler import euler
-from hilbeuler.euler import (GuardError, WedgeSeries, _apply_coefficients,
-                             _delta_kernel, _holomorphic_part,
+from delta_kernel_by_reach import pair_kernel, reach as _reach
+from hilbeuler.euler import (METHODS, GuardError, WedgeSeries,
+                             _apply_coefficients, _delta_kernel,
+                             _holomorphic_part, _kernel_bound, _kernel_build,
                              _kernel_pairings, _localization_bound,
-                             _localization_sums, _orbit_size, _pair_kernel,
-                             _pairing_bound, _raise_cost, _reach,
-                             _theorem_bound, _theorem_numerators,
-                             _weighted_kernel, cross_check,
+                             _localization_sums, _majorants, _orbit_size,
+                             _pair_kernel, _pairing_bound, _raise_cost,
+                             _row_end_caps, _theorem_bound,
+                             _theorem_numerators, _weighted_kernel,
+                             cross_check,
                              euler_constant_term, euler_localization,
                              euler_theorem, evaluate, fixed_point_data, omega,
                              partition_function)
@@ -533,7 +537,7 @@ def pair_products_in_full(n, order):
     for i in range(n):
         for j in range(i + 1, n):
             pair = {}
-            for (m,), bs in _pair_kernel(order).c.items():
+            for (m,), bs in pair_kernel(order).c.items():
                 w = [0] * n
                 w[i], w[j] = m, -m
                 pair[tuple(w)] = bs
@@ -577,7 +581,7 @@ def delta_kernel_unpruned(n, order, slack):
     last taken in full, and the last one tried at every m and kept only at
     sorted targets within the budget."""
     budget = order + slack
-    pair = _pair_kernel(order).c
+    pair = pair_kernel(order).c
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
@@ -667,7 +671,7 @@ def delta_kernel_uncut(n, order, slack):
     at the full window: pruned at each row end, the last pair's m solved
     for, each stage truncated to the window only."""
     budget = order + slack
-    pair = _pair_kernel(order).c
+    pair = pair_kernel(order).c
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
@@ -774,6 +778,91 @@ def test_kernels_served_from_a_covering_build_equal_fresh_builds():
 
 
 # ---------------------------------------------------------------------------
+# the pair kernel by recurrences, the solved row ends and the majorant width
+
+def test_pair_kernel_recurrences_equal_eight_factor_products():
+    for order in range(11):
+        want = by_reach.pair_kernel_by_products(order)
+        assert pair_kernel(order) == want, order
+        # any width that holds the bound gives the same coefficients
+        bits = (16 * (order + 1) ** 4).bit_length() + 8
+        layout = PackedLayout(order, bits)
+        assert {(m,): layout.unpack(p, order) for m, p
+                in _pair_kernel(order, bits).items()} == want.c, order
+        with pytest.raises(AssertionError, match="slot width"):
+            _pair_kernel(order, bits - 8)
+
+
+def test_majorant_is_the_sum_of_absolute_pair_coefficients():
+    for order in range(11):
+        stride, total = 2 * order + 1, {}
+        for bs in pair_kernel(order).c.values():
+            for (a, b), v in bs.c.items():
+                total[a * stride + b] = total.get(a * stride + b, 0) + abs(v)
+        want = [total.get(i, 0) for i in range(max(total) + 1)]
+        assert list(_majorants(order, 1)[0]) == want, order
+
+
+def _stage_states(stages):
+    return [{w: cap for w, (_, cap) in acc.items()} for acc in stages]
+
+
+def test_solved_row_end_ranges_keep_the_states_of_the_per_m_reach_filter():
+    for n in (1, 2, 3, 4):
+        for D in range(6):
+            for slack in range(4):
+                want, layout = by_reach.kernel_stages(n, D, slack)
+                got, _ = by_reach.kernel_stages(n, D, slack, _row_end_caps)
+                assert _stage_states(got) == _stage_states(want), \
+                    (n, D, slack)
+                assert got == want, (n, D, slack)
+                final = {w: layout.unpack(p, cap)
+                         for w, (p, cap) in want[-1].items()}
+                assert fresh_kernel(n, D, slack) == final, (n, D, slack)
+    clear_kernels()
+
+
+def test_kernel_width_one_bit_short_of_the_bound_is_refused():
+    for n, D, slack in ((3, 7, 2), (3, 6, 3), (2, 3, 1), (4, 3, 2)):
+        bits = _kernel_bound(n, D).bit_length() + 1
+        # at n = 2 the pair kernel's own bound sets the width
+        assert n == 2 or bits < by_reach.l1_width(n, D), (n, D)
+        assert (_kernel_build(n, D, slack, bits)
+                == fresh_kernel(n, D, slack)), (n, D, slack)
+        with pytest.raises(AssertionError, match="slot width"):
+            _kernel_build(n, D, slack, bits - 1)
+    clear_kernels()
+
+
+def signed_slots(p, bits, count):
+    """The first count signed slots of width bits of a packed int."""
+    half, digit = 1 << (bits - 1), (1 << bits) - 1
+    q = p + sum(half << bits * i for i in range(count))
+    return [((q >> bits * i) & digit) - half for i in range(count)]
+
+
+def test_no_kernel_slot_exceeds_its_majorant():
+    # every product, partial sum and entry of the k-th pair, slot by slot,
+    # against S_k; the slots of a product reach row and column 2*D
+    for n in (2, 3, 4):
+        for D in range(5):
+            stride = 2 * D + 1
+            majorants = _majorants(D, n * (n - 1) // 2)
+            seen = []
+
+            def observe(k, bits, p):
+                bound = majorants[k - 1]
+                for i, v in enumerate(signed_slots(p, bits, stride ** 2)):
+                    assert abs(v) <= (bound[i] if i < len(bound) else 0), \
+                        (n, D, k, divmod(i, stride), v)
+                seen.append(k)
+
+            for slack in range(4):
+                by_reach.kernel_stages(n, D, slack, _row_end_caps, observe)
+            assert set(seen) == set(range(1, len(majorants) + 1)), (n, D)
+
+
+# ---------------------------------------------------------------------------
 # the constant-term pairing on packed ints
 
 def kernel_pairings_by_dicts(kern, lams, n, order):
@@ -824,6 +913,33 @@ def test_pairing_width_one_bit_short_of_the_bound_is_refused():
         _weighted_kernel(kern, n, D, slack, bits)
         with pytest.raises(AssertionError, match="slot width"):
             _weighted_kernel(kern, n, D, slack, bits - 1)
+
+
+# ---------------------------------------------------------------------------
+# one table per basis element and (method, n, order)
+
+def test_interleaved_calls_served_from_the_table_cache_equal_fresh_results():
+    exprs = ("s[2,1]", "s[2,1]+s[1]", "s[3]", "P[2]+Q[1,1]")
+    calls = [(method, expr, D) for method in METHODS for expr in exprs
+             for D in (6, 7)]
+    fresh = {}
+    for method, expr, D in calls:
+        euler._TABLES.clear()
+        fresh[(method, expr, D)] = evaluate(method, to_symfunc(parse(expr)),
+                                            3, D).series
+    euler._TABLES.clear()
+    for method, expr, D in calls:
+        got = evaluate(method, to_symfunc(parse(expr)), 3, D).series
+        assert got == fresh[(method, expr, D)], (method, expr, D)
+    # on a warm cache no table is built again
+    warm = dict(euler._TABLES)
+    for expr in exprs:
+        for D in (6, 7):
+            assert cross_check(to_symfunc(parse(expr)), 3, D).passed, \
+                (expr, D)
+    assert all(euler._TABLES[key] is table for key, table in warm.items())
+    assert {key[:3] for key in euler._TABLES} == {
+        (method, 3, D) for method in METHODS for D in (6, 7)}
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +1025,7 @@ def test_theorem_at_every_depth_enumerates_each_strip_once():
     def sweep(depths):
         for cache in caches:
             cache.cache_clear()
+        euler._TABLES.clear()
         return {D: euler_theorem(f, 6, D).series for D in depths}
 
     deepest = sweep([16])
