@@ -72,6 +72,8 @@ def _int_str(k):
 
 
 def _coeff_str(value):
+    if type(value) is int:
+        return _int_str(value)
     value = Fraction(value)
     text = _int_str(value.numerator)
     if value.denominator != 1:

@@ -4,6 +4,10 @@ Polynomials are dense tuples indexed by degree. RationalFunction1 values are
 always normalized: gcd(num, den) = 1 as polynomials, integer coefficients
 whose joint content (the gcd of every coefficient of num and den) is 1, and
 a positive lowest-degree nonzero denominator coefficient.
+
+A constant, one int over one int, is normalised by one int gcd, and two
+constants are added, multiplied and divided on ints without the polynomial
+helpers; the general path gives a constant the same normal form.
 """
 
 from fractions import Fraction
@@ -112,6 +116,17 @@ class RationalFunction1:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
+        if (len(num) == 1 == len(den)
+                and type(num[0]) is int and type(den[0]) is int):
+            # a constant: the gcd, negated with a negative denominator
+            n, d = num[0], den[0]
+            if not d:
+                raise ZeroDivisionError("zero denominator")
+            g = int_gcd(n, d)
+            if d < 0:
+                g = -g
+            self.num, self.den = (n // g,), (d // g,)
+            return
         num, den = ptrim(num), ptrim(den)
         if pis_zero(den):
             raise ZeroDivisionError("zero denominator")
@@ -139,6 +154,8 @@ class RationalFunction1:
     # -- constructors -------------------------------------------------------
     @classmethod
     def const(cls, value):
+        if type(value) is int:
+            return cls((value,))
         f = Fraction(value)
         return cls((f.numerator,), (f.denominator,))
 
@@ -155,6 +172,10 @@ class RationalFunction1:
 
     def __add__(self, other):
         other = _coerce(other)
+        if _both_const(self, other):
+            return RationalFunction1(
+                (self.num[0] * other.den[0] + other.num[0] * self.den[0],),
+                (self.den[0] * other.den[0],))
         return RationalFunction1(
             padd(pmul(self.num, other.den), pmul(other.num, self.den)),
             pmul(self.den, other.den))
@@ -174,6 +195,9 @@ class RationalFunction1:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if _both_const(self, other):
+            return RationalFunction1((self.num[0] * other.num[0],),
+                                     (self.den[0] * other.den[0],))
         return RationalFunction1(pmul(self.num, other.num),
                                  pmul(self.den, other.den))
 
@@ -183,6 +207,9 @@ class RationalFunction1:
         other = _coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero rational function")
+        if _both_const(self, other):
+            return RationalFunction1((self.num[0] * other.den[0],),
+                                     (self.den[0] * other.num[0],))
         return RationalFunction1(pmul(self.num, other.den),
                                  pmul(self.den, other.num))
 
@@ -237,6 +264,10 @@ class RationalFunction1:
 
     def __str__(self):
         return rf_str(self)
+
+
+def _both_const(a, b):
+    return len(a.num) == len(a.den) == len(b.num) == len(b.den) == 1
 
 
 def _coerce(x):

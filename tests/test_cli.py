@@ -1,13 +1,15 @@
+import collections
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import hilbeuler
-from hilbeuler import euler
-from hilbeuler.cli import main, symfunc_str
+from hilbeuler import euler, ratfunc
+from hilbeuler.cli import _coeff_str, main, symfunc_str
 from hilbeuler.symfunc import SymFunc, convert
 from hilbeuler.hall_littlewood import hl_P
 
@@ -148,6 +150,40 @@ def test_a_coefficient_of_more_digits_than_str_writes_prints_exactly(capsys):
     assert (code, err) == (0, "")
     assert [line.split()[1:] for line in out.splitlines()[2:4]] == [
         [want, want]] * 2
+
+
+_E600 = 10 ** 600
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, _E600 - 1, 1 - _E600, _E600, -_E600,
+    int("1234567890" * 130)])
+def test_an_int_coefficient_prints_as_its_fraction_does(value):
+    # an int goes straight to _int_str; the same value as a Fraction takes
+    # the numerator and denominator path, the reference text
+    assert _coeff_str(value) == _coeff_str(Fraction(value))
+
+
+def test_chi_carries_a_schur_combination_without_polynomial_arithmetic(
+        capsys, monkeypatch):
+    # every coefficient of an integer combination of Schur functions is a
+    # constant, so RationalFunction1 keeps it on ints; P and Q atoms bring
+    # in z and still take the polynomial path
+    calls = collections.Counter()
+    for name in ("pmul", "padd", "ptrim"):
+        def counted(*args, name=name, inner=getattr(ratfunc, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(ratfunc, name, counted)
+    for f, polynomial in (("2*s[2,1]-s[1,1]+3*s[1]-s[]", False),
+                          ("P[2]+Q[1]", True)):
+        for method in ("theorem", "localization", "constant-term"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "chi", "--f", f, "--n", "3",
+                                 "--max-deg", "4", "--method", method,
+                                 "--format", "json")
+            assert code == 0
+            assert bool(calls) == polynomial, (f, method, calls)
 
 
 def test_chi_guard_error(capsys):

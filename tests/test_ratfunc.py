@@ -1,12 +1,13 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
-from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, pdegree,
-                               pdivmod, pgcd, pis_zero, pmul, poly_str,
-                               ptrim, rf_expand, rf_str)
+from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pdegree,
+                               pdivmod, pgcd, pis_zero, pmul, pneg,
+                               poly_str, ptrim, rf_expand, rf_str)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,18 @@ def normalize_by_gcd(num, den):
         content = -content
     return (tuple(c // content for c in num),
             tuple(c // content for c in den))
+
+
+def general_path(a, op, b):
+    """(num, den) that a op b hands the constructor on the path for
+    positive degree, before it normalises them."""
+    if op == "+":
+        return padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)
+    if op == "-":
+        return general_path(a, "+", -b)
+    if op == "*":
+        return pmul(a.num, b.num), pmul(a.den, b.den)
+    return pmul(a.num, b.den), pmul(a.den, b.num)
 
 
 def expand_by_fractions(r, order):
@@ -98,6 +111,26 @@ def test_arithmetic_matches_fraction_eval():
             if bv:
                 assert (a / b).eval(x) == av / bv
 
+    # degree-0 operands: each result is what the general path gives
+
+    def const():
+        return RationalFunction1.const(rng.choice((
+            0, rng.randint(-9, 9),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))))
+
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+    for _ in range(300):
+        a, b = const(), const()
+        for op, apply in ops.items():
+            if op == "/" and not b:
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+                continue
+            r = apply(a, b)
+            assert (r.num, r.den) == normalize_by_gcd(*general_path(a, op, b))
+            assert r.eval(0) == apply(a.eval(0), b.eval(0))
+
 
 def test_z_power():
     assert RationalFunction1.z_power(3).num == (0, 0, 0, 1)
@@ -150,9 +183,24 @@ def _random_poly(rng, degree):
 
 def test_constructor_equals_always_gcd_oracle():
     rng = random.Random(11)
-    seen = {"const num": 0, "const den": 0, "both >= 1": 0}
-    for _ in range(600):
+    seen = {"const num": 0, "const den": 0, "both >= 1": 0, "both const": 0}
+    for _ in range(800):
         kind = rng.choice(sorted(seen))
+        if kind == "both const":
+            # an int pair, zero and negative denominators included, or an
+            # int or Fraction through const
+            c = rng.choice((0, rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+            if type(c) is int and rng.random() < 0.5:
+                num, den = [c], [rng.choice((1, -1)) * rng.randint(1, 12)]
+                r = RationalFunction1(num, den)
+            else:
+                num, den = [c], [1]
+                r = RationalFunction1.const(c)
+            assert (r.num, r.den) == normalize_by_gcd(num, den), (num, den)
+            assert all(type(v) is int for v in r.num + r.den)
+            seen[kind] += 1
+            continue
         dn = 0 if kind == "const num" else rng.randint(1, 4)
         dd = 0 if kind == "const den" else rng.randint(1, 4)
         num, den = _random_poly(rng, dn), _random_poly(rng, dd)
@@ -164,6 +212,8 @@ def test_constructor_equals_always_gcd_oracle():
         assert (r.num, r.den) == normalize_by_gcd(num, den), (num, den)
         seen[kind] += 1
     assert min(seen.values()) > 150, seen
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction1((3,), (0,))
 
 
 def test_expand_equals_fraction_oracle_and_is_int_for_unit_constant_term():
