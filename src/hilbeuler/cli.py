@@ -271,21 +271,7 @@ def cmd_hl(args):
 # ---------------------------------------------------------------------------
 # entry point
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built once per process; parsing leaves it
-    unchanged."""
-    ap = argparse.ArgumentParser(
-        prog="hilbeuler",
-        description="Exact equivariant Euler characteristics on Hilbert "
-                    "schemes of points in the plane.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    chi = sub.add_parser(
-        "chi",
-        help="coefficient table of the equivariant Euler characteristic",
-        description="The Hall-Littlewood parameter of P/Q atoms in --f is "
-                    "bound to z1.")
+def _chi_arguments(chi):
     chi.add_argument("--f", required=True,
                      help="symmetric-function expression, e.g. 's[2,1]+2*p[1]'")
     chi.add_argument("--n", type=int, required=True, help="number of points")
@@ -296,7 +282,8 @@ def build_parser():
     chi.add_argument("--format", default="pretty",
                      choices=["json", "csv", "pretty"])
 
-    ver = sub.add_parser("verify", help="run a built-in identity suite")
+
+def _verify_arguments(ver):
     vsub = ver.add_subparsers(dest="suite", required=True)
     v = vsub.add_parser("lemma")
     v.add_argument("--max-size", type=int, default=4)
@@ -311,9 +298,8 @@ def build_parser():
     v = vsub.add_parser("kprop")
     v.add_argument("--max-size", type=int, default=5)
 
-    hl = sub.add_parser(
-        "hl", help="Hall-Littlewood utilities",
-        description="The Hall-Littlewood parameter prints as 'z' here.")
+
+def _hl_arguments(hl):
     hsub = hl.add_subparsers(dest="hl_cmd", required=True)
     h = hsub.add_parser("poly", help="expand P_lambda in a classical basis")
     h.add_argument("--lambda", dest="lam", required=True,
@@ -328,11 +314,46 @@ def build_parser():
     h.add_argument("--g", required=True)
     h.add_argument("--n", type=int, default=None,
                    help="number of variables (default: infinite)")
+
+
+#: name -> (add_parser keywords, the function that adds its arguments)
+_COMMANDS = {
+    "chi": (dict(help="coefficient table of the equivariant Euler "
+                      "characteristic",
+                 description="The Hall-Littlewood parameter of P/Q atoms in "
+                             "--f is bound to z1."),
+            _chi_arguments),
+    "verify": (dict(help="run a built-in identity suite"),
+               _verify_arguments),
+    "hl": (dict(help="Hall-Littlewood utilities",
+                description="The Hall-Littlewood parameter prints as 'z' "
+                            "here."),
+           _hl_arguments),
+}
+
+
+@lru_cache(maxsize=None)
+def build_parser(command=None):
+    """The argument parser, built once per process and command; parsing
+    leaves it unchanged. Every command is registered with its help and
+    description, but with command given only that one gets its arguments
+    and nested parsers: an argv that starts with command reads nothing else
+    of the others, so it parses and prints as with the full parser."""
+    ap = argparse.ArgumentParser(
+        prog="hilbeuler",
+        description="Exact equivariant Euler characteristics on Hilbert "
+                    "schemes of points in the plane.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (keywords, add_arguments) in _COMMANDS.items():
+        parser = sub.add_parser(name, **keywords)
+        if command in (None, name):
+            add_arguments(parser)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -241,8 +241,9 @@ def _apply_coefficients(tables, coeffs, order, den=1):
     that are products of (1 - z1^k), so a product term at a <= order needs
     table entries at a <= order only. The expansions are scaled to ints
     over their common denominator, the sum is taken in ints, and each
-    coefficient of it becomes one Fraction over that denominator times den.
-    The sum must be holomorphic at z1 = 0.
+    coefficient of it is divided by that denominator times den: an int
+    where the division is exact, a Fraction only where it is not. The sum
+    must be holomorphic at z1 = 0.
     """
     expansions = {}
     for lam, table in tables.items():
@@ -265,7 +266,9 @@ def _apply_coefficients(tables, coeffs, order, den=1):
                 total[key] = total.get(key, 0) + v * w
     common *= den
     if common != 1:
-        total = {key: Fraction(v, common) for key, v in total.items()}
+        for key, v in total.items():
+            q, r = divmod(v, common)
+            total[key] = Fraction(v, common) if r else q
     return _holomorphic_part(total, order)
 
 
@@ -409,16 +412,20 @@ def _orbit_size(w):
     return size
 
 
-def _row_end_caps(v, i, order, budget, top):
+def _row_end_caps(v, i, order, budget, top, mirror=False):
     """[(m, cap)] of the pair (i, n-1) that ends row i, from the state v:
     every m with |m| <= top whose target w = v + m(e_i - e_(n-1)) can still
     reach a final vector of cap >= 0, with the largest cap it reaches (see
     `_delta_kernel`). With k = n-i-1 and r = v[i+1] + ... + v[n-1], the m
     of w[i] * k >= r - m are m >= ceil((r - v[i] k)/(k + 1)), and those of
-    w[i-1] >= w[i] are m <= v[i-1] - v[i]."""
+    w[i-1] >= w[i] are m <= v[i-1] - v[i]. With mirror, which the build
+    sets at i = n-3, only the targets with w[n-2] >= w[n-1] are kept, the
+    m >= v[n-1] - v[n-2] (see "Mirror" in `_delta_kernel`)."""
     k = len(v) - i - 1
     rest = sum(v[i + 1:])
     lo = max(-top, -((v[i] * k - rest) // (k + 1)))
+    if mirror:
+        lo = max(lo, v[-1] - v[-2])
     hi = min(top, v[i - 1] - v[i]) if i else top
     spent = budget - _raise_cost(v[:i])
     out = []
@@ -462,7 +469,9 @@ def _kernel_bound(n, order):
 def _kernel_build(n, order, slack, bits):
     """The kernel of `_delta_kernel(n, order, slack)` built from its pair
     kernels on packed ints at slot width bits, which must hold
-    `_kernel_bound(n, order)`."""
+    `_kernel_bound(n, order)`: the states after the pair (n-3, n-1) are
+    those with v[n-2] >= v[n-1], and the last pair takes each of them with
+    its mirror (see `_delta_kernel`)."""
     check_width(bits, _kernel_bound(n, order))
     budget = order + slack
     layout = PackedLayout(order, bits)
@@ -477,10 +486,15 @@ def _kernel_build(n, order, slack, bits):
             out, caps = {}, {}
             for v, (x, reach) in acc.items():
                 x_cut = {reach: x}
-                for m, cap in (_row_end_caps(v, i, order, budget, top)
+                # the mirror's u-exponent to the same target is m + d
+                d = v[i] - v[j] if i == n - 2 else 0
+                for m, cap in (_row_end_caps(v, i, order, budget, top,
+                                             i == n - 3)
                                if j == n - 1 else
                                [(m, reach) for m in packed]):
-                    y = pair_cut[cap].get(m)
+                    cut = pair_cut[cap]
+                    y = (cut.get(m, 0) + cut.get(m + d, 0) if d
+                         else cut.get(m))
                     if not y:
                         continue
                     w = list(v)
@@ -548,6 +562,24 @@ def _delta_kernel(n, order, slack):
     has its sources' common reach, and the reach never rises from a source
     to a target. Cutting drops no entry; it shrinks the ints, most at the
     last pair, where most caps are far below order.
+
+    Mirror: let sigma swap x_(n-2) and x_(n-1). It maps the set of pairs
+    other than the last, (n-2, n-1), onto itself, and each pair kernel is
+    invariant under u <-> 1/u, so the product of those pairs is invariant
+    under sigma. The row-end pruning and the reach of the pair (n-3, n-1)
+    and of the pairs before it depend only on coordinates 0..n-3 and on
+    v[n-2] + v[n-1], so after (n-3, n-1) the entry at v equals the entry at
+    sigma(v). That pair therefore keeps only targets with v[n-2] >= v[n-1]
+    (one more lower bound on m in `_row_end_caps`). With d = v[n-2] -
+    v[n-1], the last pair takes v to v + m(e_(n-2) - e_(n-1)) by K_m and
+    sigma(v) to the same target by K_(m+d), so each kept v is multiplied
+    once by K_m + K_(m+d), cut to the target's cap, or by K_m alone when
+    d = 0, where v = sigma(v). The targets are sorted, d + 2m >= 0, so
+    |m + d| <= top forces |m| <= top, and the range of m that
+    `_row_end_caps` solves for v misses no target of sigma(v). Each new
+    product is the sum of two products of the unmirrored build into the
+    same target, so the entries and the bit width below are those of that
+    build.
 
     Covering builds: the entry at w is the product of all pair kernels read
     at cap(w); the order-D pair kernel read at degrees <= order is the

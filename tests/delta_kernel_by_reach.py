@@ -8,12 +8,16 @@ keeps a target when `reach`, one call per m, is not negative; it packs at
 the l1 width L^#pairs. The tests use them as oracles for
 `euler._pair_kernel`, `euler._row_end_caps` and the slot width of
 `euler._kernel_build`, and `pair_kernel` unpacks `euler._pair_kernel` for
-the oracles that read it as series.
+the oracles that read it as series. `kernel_build_unmirrored` is the
+kernel build as it was before the last pair took each state with its
+mirror: every state after the pair (n-3, n-1) is kept and multiplied by
+one pair kernel per target.
 """
 
 from functools import lru_cache
 
-from hilbeuler.euler import _pair_kernel, _raise_cost
+from hilbeuler.euler import (_kernel_bound, _pair_kernel, _raise_cost,
+                             _row_end_caps)
 from hilbeuler.series import BiSeries, PackedLayout, check_width
 from hilbeuler.xlaurent import XLaurent
 
@@ -129,3 +133,44 @@ def kernel_stages(n, order, slack, row_end=caps_by_reach, observe=None):
                         observe(k, layout.bits, p)
             stages.append(acc)
     return stages, layout
+
+
+def kernel_build_unmirrored(n, order, slack, bits):
+    """`euler._kernel_build` without the mirror step, at slot width bits,
+    which must hold `euler._kernel_bound(n, order)`: each state of the last
+    pair is multiplied by K_m alone, and its mirror is a state of its own."""
+    check_width(bits, _kernel_bound(n, order))
+    budget = order + slack
+    layout = PackedLayout(order, bits)
+    packed = _pair_kernel(order, bits)
+    # the pair kernel cut to each cap: pair_cut[cap][m]
+    pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
+                for cap in range(order + 1)]
+    top = max(packed)
+    acc = {(0,) * n: (1, order)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            out, caps = {}, {}
+            for v, (x, reach) in acc.items():
+                x_cut = {reach: x}
+                for m, cap in (_row_end_caps(v, i, order, budget, top)
+                               if j == n - 1 else
+                               [(m, reach) for m in packed]):
+                    y = pair_cut[cap].get(m)
+                    if not y:
+                        continue
+                    w = list(v)
+                    w[i] += m
+                    w[j] -= m
+                    w = tuple(w)
+                    xc = x_cut.get(cap)
+                    if xc is None:
+                        xc = x_cut[cap] = layout.truncate(x, cap)
+                    out[w] = out.get(w, 0) + xc * y
+                    caps[w] = cap
+            acc = {}
+            for w, p in out.items():
+                p = layout.truncate(p, caps[w])
+                if p:
+                    acc[w] = (p, caps[w])
+    return {w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}

@@ -9,7 +9,7 @@ import pytest
 
 import hilbeuler
 from hilbeuler import euler, ratfunc
-from hilbeuler.cli import _coeff_str, main, symfunc_str
+from hilbeuler.cli import _coeff_str, build_parser, main, symfunc_str
 from hilbeuler.symfunc import SymFunc, convert
 from hilbeuler.hall_littlewood import hl_P
 
@@ -375,6 +375,30 @@ def test_one_parser_per_process_answers_like_fresh_processes():
     assert json.loads(run.stdout) == fresh
     assert [code for code, _, _ in fresh] == [2, 0, 2]
     assert fresh[0][2] and fresh[1][1] and fresh[2][2]
+
+
+def test_one_command_parser_answers_like_the_full_parser(capsys, monkeypatch):
+    # main builds only the parser of the command argv starts with: its help,
+    # its usage errors and their exit codes are those of the full parser,
+    # and so are the top-level help and an unknown command
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["chi", "--help"], ["chi", "--n", "2"],
+             ["verify", "--help"], ["verify", "lemma", "--max-size", "x"],
+             ["verify", "kprop", "--help"],
+             ["hl", "--help"], ["hl", "poly"], ["hl", "inner", "--help"],
+             ["chi", "--f", "1", "--n", "1", "verify"],
+             ["--help"], ["bogus"], []]
+    for argv in calls:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert run_cli(capsys, *argv) == (2 if exc.value.code else 0,
+                                          want.out, want.err), argv
+        assert want.out or want.err, argv
+    # the other commands of a one-command parser take no arguments
+    with pytest.raises(SystemExit):
+        build_parser("chi").parse_args(["hl", "poly", "--lambda", "2"])
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_python_dash_m_hilbeuler_prints_what_main_prints(capsys):

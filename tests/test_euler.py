@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, prod
@@ -834,6 +835,21 @@ def test_kernel_width_one_bit_short_of_the_bound_is_refused():
     clear_kernels()
 
 
+def test_mirrored_kernel_build_equals_unmirrored_oracle():
+    # n = 4 and 5 stop at the largest D their other kernel tests use, 5
+    # and 3
+    cases = [(n, D, slack) for n in range(1, 6) for D in (0, 1, 4, 6, 7)
+             if D <= {4: 5, 5: 3}.get(n, D) for slack in (0, 1, 3)]
+    for n, D, slack in cases:
+        bits = _kernel_bound(n, D).bit_length() + 1
+        got = _kernel_build(n, D, slack, bits)
+        want = by_reach.kernel_build_unmirrored(n, D, slack, bits)
+        assert set(got) == set(want), (n, D, slack)
+        for w, bs in want.items():
+            assert (got[w].order, got[w].c) == (bs.order, bs.c), \
+                (n, D, slack, w)
+
+
 def signed_slots(p, bits, count):
     """The first count signed slots of width bits of a packed int."""
     half, digit = 1 << (bits - 1), (1 << bits) - 1
@@ -1011,6 +1027,20 @@ def test_common_denominator_coefficients_equal_fraction_oracle():
     tables = {(1,): {(0, 0): 1}}
     assert (_error(_apply_coefficients, tables, pole, D)
             == _error(apply_coefficients_by_fractions, tables, pole, D))
+
+
+def test_integral_coefficients_are_ints():
+    # a sum its common denominator divides is an int, any other a Fraction
+    half = {(1,): RationalFunction1.const(Fraction(1, 2))}
+    got = _apply_coefficients({(1,): {(0, 0): 3, (1, 0): 2}}, half, 2).c
+    assert got == {(0, 0): Fraction(3, 2), (1, 0): 1}
+    assert type(got[(0, 0)]) is Fraction and type(got[(1, 0)]) is int
+    # an integer combination of Schur functions: every coefficient of its
+    # table is integral, under every evaluator
+    f = to_symfunc(parse("2*s[2,1]-s[1,1]+3*s[1]-s[]"))
+    for method in METHODS:
+        values = evaluate(method, f, 3, 4).series.c.values()
+        assert values and all(type(v) is int for v in values), method
 
 
 # ---------------------------------------------------------------------------
