@@ -4,16 +4,17 @@ The evaluators are independent up to their last step: fixed-point
 localization (iterated Laurent expansion, z2 outermost), the quiver
 constant-term formula (nonnegative-orthant pairing), and the
 Hall-Littlewood summation formula. Each builds, for every basis element of
-f, a Laurent table in z1, z2 in integers, expanded by
-`WedgeSeries.expand`: localization sums the expanded Omega of each fixed
+f, a Laurent table in z1, z2 in integers, from series kept as packed
+z1-rows, one int per z2-degree, over a product of (1 - z1^k) that
+`expand` divides out: localization sums the expanded Omega of each fixed
 point times the basis element on packed ints, and the other two expand one
-`WedgeSeries` per basis element. `_basis_tables` keeps each table per
+such series per basis element. `_basis_tables` keeps each table per
 (method, n, order, basis element), so a later call builds only the tables
 it lacks. `_apply_coefficients` then multiplies in f's coefficients, which
 are rational in z1, and nothing comes after it.
-The plethystic exponentials of the first two are applied by `omega` to a
-wedge series in place, one wedge-rule step per factor. A cross-check
-driver compares the three coefficient by coefficient.
+The plethystic exponentials of the first two are applied to the rows by
+`omega`, one shift-add per row and wedge-rule step. `cross_check`
+compares the three coefficient by coefficient.
 """
 
 from collections import namedtuple
@@ -24,24 +25,30 @@ from math import comb, factorial, lcm, prod
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
 from .ratfunc import rf_expand
-from .series import BiSeries, PackedLayout, check_width, unpack
+from .series import (BiSeries, PackedLayout, RowLayout, WedgeSeries,
+                     byte_width, check_width, den_series, expand, omega,
+                     unpack)
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
 # this module by name, so they stay imported here although only k_exponent
 # is called. It also wraps omega, fixed_point_data, WedgeSeries.__mul__,
-# the three evaluators and _delta_kernel by name; euler_localization calls
-# the first two through those names and euler_constant_term calls omega,
-# so a traced run counts them. No evaluator multiplies wedge series:
-# WedgeSeries.__mul__ stays for the tracer and for the test oracles.
+# the three evaluators and _delta_kernel by name in this module, so omega
+# and WedgeSeries are imported here too; euler_localization calls the first
+# two through those names and euler_constant_term calls omega, so a traced
+# run counts them. No evaluator builds a WedgeSeries: the class and its
+# __mul__ stay for the tracer and for the test oracles.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
                               packed_e_times_P, z_multinomial)
 
 #: the evaluators, by the names `evaluate` and the CLI take
 METHODS = ("theorem", "localization", "constant-term")
 
-#: honest desk-scale guards
+#: honest desk-scale guards; at MAX_DEG_CONSTANT_TERM, chi of s[1] at
+#: n = 3 by the constant-term evaluator takes under 10 s in a fresh process
+#: (8.8-9.4 s on a 2-core x86_64 box, CPython 3.11; D = 34 takes 10.3-11 s)
 MAX_N_CONSTANT_TERM = 3
+MAX_DEG_CONSTANT_TERM = 33
 MAX_N = 6
 
 
@@ -57,127 +64,16 @@ def check_guards(method, n, order, force=False):
         raise GuardError("n must be >= 1")
     if order < 0:
         raise GuardError("max degree must be >= 0")
-    if method == "constant-term" and n > MAX_N_CONSTANT_TERM and not force:
-        raise GuardError("constant-term evaluator refuses n > %d (only the "
-                         "API can override: euler_constant_term(..., "
-                         "force=True))" % MAX_N_CONSTANT_TERM)
+    if method == "constant-term" and not force:
+        for what, value, cap in (("n", n, MAX_N_CONSTANT_TERM),
+                                 ("max degree", order, MAX_DEG_CONSTANT_TERM)):
+            if value > cap:
+                raise GuardError("constant-term evaluator refuses %s > %d "
+                                 "(only the API can override: "
+                                 "euler_constant_term(..., force=True))"
+                                 % (what, cap))
     if n > MAX_N:
         raise GuardError("%s evaluator refuses n > %d" % (method, MAX_N))
-
-
-# ---------------------------------------------------------------------------
-# wedge expansion: iterated Laurent series, z2 outermost
-#
-# Every denominator a wedge factor creates is a product of (1 - z1^k), so a
-# wedge series keeps integer Laurent polynomials in z1 over one such product.
-# `omega` updates the numerators row by row and extends the denominator in
-# place; a product convolves numerators and concatenates denominators. No
-# polynomial gcd is taken, and each numerator is expanded only at the end.
-
-class WedgeSeries:
-    """Truncated series sum_b z2^b c_b(z1) / prod_{k in den} (1 - z1^k).
-
-    c maps a z2-degree 0 <= b <= order to an integer Laurent polynomial,
-    a dict z1-exponent -> nonzero int; den is a sorted tuple of positive k.
-    """
-
-    __slots__ = ("order", "c", "den")
-
-    def __init__(self, order, coeffs=None, den=()):
-        self.order = order
-        self.c = {}
-        for b, num in (coeffs or {}).items():
-            num = {e: v for e, v in num.items() if v}
-            if 0 <= b <= order and num:
-                self.c[b] = num
-        self.den = tuple(sorted(den))
-
-    def __mul__(self, other):
-        D = self.order
-        # inline per-term kernel; zeros are dropped once, by the constructor
-        out = {}
-        for b1, x in self.c.items():
-            for b2, y in other.c.items():
-                b = b1 + b2
-                if b > D:
-                    continue
-                acc = out.setdefault(b, {})
-                for e1, v1 in x.items():
-                    for e2, v2 in y.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-        return WedgeSeries(D, out, self.den + other.den)
-
-    def expand(self, hi):
-        """Laurent coefficients {(a, b): int} for a <= hi: each numerator
-        times the power series of 1/den, from its lowest z1 exponent."""
-        out = {}
-        for b, num in self.c.items():
-            lo = min(num)
-            if lo > hi:
-                continue
-            row = [0] * (hi - lo + 1)
-            for e, v in num.items():
-                if e <= hi:
-                    row[e - lo] = v
-            for k in self.den:
-                for i in range(k, len(row)):
-                    row[i] += row[i - k]
-            for i, v in enumerate(row):
-                if v:
-                    out[(lo + i, b)] = v
-        return out
-
-
-def _holomorphic_part(coeffs, order):
-    """BiSeries of Laurent coefficients {(a, b): value} that vanish at a < 0."""
-    coeffs = {key: v for key, v in coeffs.items() if v}
-    poles = sorted((b, a) for a, b in coeffs if a < 0)
-    if poles:
-        b, a = poles[0]
-        raise ArithmeticError(
-            "z2-coefficient of degree %d is not holomorphic at z1=0: "
-            "z1^%d has coefficient %s" % (b, a, coeffs[(a, b)]))
-    return BiSeries(order, coeffs)
-
-
-def omega(char, order, ws=None):
-    """Multiply the wedge series ws (default 1) in place by the plethystic
-    exponential of a virtual character, an XLaurent(2, ...) of weight
-    multiplicities, and return it.
-
-    Omega(char) is the product over monomials m = z1^p z2^q of multiplicity
-    c of (1 - m)^(-c), each factor expanded by the wedge rule (z2
-    outermost), one step per unit of c. A large monomial (q < 0, or
-    q = 0 > p) is made small first: (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)),
-    so ws is shifted once by (-m^(-1))^c. Then z1^p with p > 0 joins den;
-    otherwise row b gains z1^p times row b - q, bottom row up, to divide by
-    1 - m, and loses it, top row down, to multiply by 1 - m (c < 0, which
-    needs q >= 0). No step lowers a z2-degree, so truncating at order
-    commutes with every step.
-    """
-    if ws is None:
-        ws = WedgeSeries(order, {0: {0: 1}})
-    for (p, q), c in char.items_sorted():
-        if (p, q) == (0, 0):
-            raise ValueError("plethystic exponential undefined at the "
-                             "trivial monomial")
-        if c < 0 and q < 0:
-            raise ValueError("cannot store z2-negative polynomial factor")
-        if c > 0 and (q < 0 or q == 0 > p):
-            p, q, sign = -p, -q, (-1) ** c
-            ws.c = {b + q * c: {e + p * c: sign * v for e, v in row.items()}
-                    for b, row in ws.c.items() if b + q * c <= order}
-        if c > 0 and q == 0:
-            ws.den = tuple(sorted(ws.den + (p,) * c))
-            continue
-        rows = ws.c
-        for _ in range(abs(c)):
-            for b in range(q, order + 1) if c > 0 else range(order, q - 1, -1):
-                src = rows.get(b - q)
-                if src and not add_terms(rows.setdefault(b, {}), [
-                        (e + p, v if c > 0 else -v) for e, v in src.items()]):
-                    del rows[b]
-    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +127,18 @@ def _basis_tables(method, n, order, lams, build):
     return {lam: _TABLES[(method, n, order, lam)] for lam in lams}
 
 
+def _holomorphic_part(coeffs, order):
+    """BiSeries of Laurent coefficients {(a, b): value} that vanish at a < 0."""
+    coeffs = {key: v for key, v in coeffs.items() if v}
+    poles = sorted((b, a) for a, b in coeffs if a < 0)
+    if poles:
+        b, a = poles[0]
+        raise ArithmeticError(
+            "z2-coefficient of degree %d is not holomorphic at z1=0: "
+            "z1^%d has coefficient %s" % (b, a, coeffs[(a, b)]))
+    return BiSeries(order, coeffs)
+
+
 def _apply_coefficients(tables, coeffs, order, den=1):
     """BiSeries of sum over lam of coeffs[lam] * tables[lam] / den.
 
@@ -275,10 +183,68 @@ def _apply_coefficients(tables, coeffs, order, den=1):
 # ---------------------------------------------------------------------------
 # evaluator 1: fixed-point localization
 
-def _localization_bound(fixed, lams, n):
+def _omega_reach(char, order):
+    """(depth, bound) of Omega(char) at a fixed point, expanded by `omega`
+    and `expand` from the series 1: a depth that no row reaches below, and
+    a bound on every slot of its rows and of its expansion.
+
+    char is a cotangent character: every multiplicity is positive, and the
+    corner cell of the partition brings the weights z1 and z2. Its large
+    monomials z1^p z2^q (q < 0, so p > 0) shift the series by
+    z1^-(pc) z2^(-qc) and then act as small ones, z1^-p z2^-q; its
+    monomials with q = 0 have p > 0 and form den. After the shifts, every
+    step adds to a row a shifted copy of another, and all of them carry
+    the sign (-1)^(sum of the shifts' c), so no step cancels a term.
+
+    Depth: the shifts take z1 down by S = sum pc and use T = sum -qc of the
+    z2-degree, so a term in the window got at most B = order - T from the
+    steps z1^p z2^q with q > 0, each of them at most -p/q lower per unit of
+    z2-degree. So no row reaches below -(S + max floor(-p B / q)).
+
+    Bound: with z1 set to 1, the steps leave in row T + b the coefficient
+    N_b of z2^b in prod (1 - z2^q)^(-c), which is nondecreasing in b since
+    one q is 1, so every slot of every row, at every step, is at most
+    N_B. The series of 1/den is nonnegative and nondecreasing, since one
+    k is 1, so a slot of the expansion at z1^a, a <= order, is at most
+    N_B times its coefficient at z1^(order + depth). When B < 0 no term
+    reaches the window and both are 0.
+    """
+    shift_p = shift_q = 0
+    steps, den = [], []
+    for (p, q), c in char.c.items():
+        if q < 0:
+            shift_p, shift_q = shift_p + p * c, shift_q - q * c
+            p, q = -p, -q
+        if q == 0:
+            den += [p] * c
+        else:
+            steps.append((p, q, c))
+    budget = order - shift_q
+    if budget < 0:
+        return 0, 0
+    depth = shift_p + max((-p * budget // q for p, q, _ in steps if p < 0),
+                          default=0)
+    counts = [1] + [0] * budget
+    for _, q, c in steps:
+        for _ in range(c):
+            for b in range(q, budget + 1):
+                counts[b] += counts[b - q]
+    return depth, counts[budget] * den_series(tuple(sorted(den)),
+                                               order + depth + 1)[-1]
+
+
+def _localization_layout(lams, n, order, depth, bound):
+    """The `RowLayout` of `_localization_sums` for lams: rows down to depth,
+    the slot width of `_localization_bound`, rounded up to whole bytes,
+    and room for the power sums' z1-shifts."""
+    return RowLayout(order, byte_width(_localization_bound(bound, lams, n)),
+                     depth, _localization_room(lams, n, order, depth))
+
+
+def _localization_bound(bound, lams, n):
     """Bound on every slot of the packed sums of `_localization_sums`:
-    sum over mu of max|E_mu| * n^l, with E_mu the expanded Omega of
-    `fixed` and l the largest length in lams.
+    n^l * bound, with bound the sum over the fixed points of their
+    `_omega_reach` bounds and l the largest length in lams.
 
     p_k(taut_mu) is a sum of n monomials z1^(kj) z2^(ki), one per cell
     (i, j) of mu, each of coefficient 1 and of nonnegative degrees. So a
@@ -287,61 +253,104 @@ def _localization_bound(fixed, lams, n):
     of p_lam a slot is at most n^l max|E_mu|; cutting to the window only
     drops slots. Summing over mu adds the bounds.
     """
-    length = max(map(len, lams), default=0)
-    return n ** length * sum(max(map(abs, table.values()), default=0)
-                             for _, table in fixed)
+    return n ** max(map(len, lams), default=0) * bound
 
 
-def _localization_sums(fixed, lams, n, order, bits):
+def _localization_room(lams, n, order, depth):
+    """Row room for the z1-shifts of p_k(taut_mu), k a part of lams: a cell
+    (i, j) of mu has j <= n - 1 and shifts by kj, and a shift beyond
+    order + depth takes the whole window past z1^order, so it is skipped."""
+    part = max((max(lam) for lam in lams if lam), default=0)
+    return order + depth + 1 + min(order + depth, part * (n - 1))
+
+
+def _expanded_fixed_points(data, layout, bound):
+    """[(taut_mu, E_mu)] for the `FixedPointData` of data: E_mu is
+    Omega(cotangent_mu) expanded by `omega` and `expand` and placed in
+    layout, whose depth must be at least every `_omega_reach` depth of the
+    fixed points and whose slots must hold bound, the sum of their
+    bounds."""
+    check_width(layout.bits, bound)
+    one = [1 << layout.bits * layout.off] + [0] * layout.order
+    return [(d.taut_char, layout.place(expand(
+        *omega(d.cotangent_char, one, (), layout), layout))) for d in data]
+
+
+def _localization_sums(fixed, lams, n, layout, bound):
     """lam -> {(a, b): int}, a <= order: the sum over the fixed points
     (taut_mu, E_mu) of `fixed` of E_mu times p_lam(taut_mu), cut to the
-    window, at slot width bits, which must hold `_localization_bound`.
+    window of layout, whose slots must hold `_localization_bound` and whose
+    room must hold `_localization_room` for the parts of lams.
 
-    Each E_mu is one int of a `PackedLayout` whose rows reach down to the
-    deepest negative z1 exponent of any E_mu, with slots rounded up to
-    whole bytes. p_k(taut_mu) multiplies it as one shift-add per cell of
-    mu whose z2-degree ki stays in the window, so the slots stay within
-    2*order, and the product is cut back to the window after every power
-    sum. Products are shared between lams with a common prefix, the fixed
-    points are summed as ints, and each sum is unpacked once.
+    p_k(taut_mu) multiplies E_mu as one shift-add per cell of mu whose
+    shift stays below the window's top, z2^order and z1^(order + depth),
+    and the product is cut back to the window after every power sum.
+    Products are shared between lams with a common prefix, the fixed
+    points are summed as ints, and each sum is unpacked once, its slots
+    a < 0 included, so `_holomorphic_part` sees any pole.
     """
-    check_width(bits, _localization_bound(fixed, lams, n))
-    low = max((-a for _, table in fixed for a, _ in table), default=0)
-    layout = PackedLayout(order, -(-bits // 8) * 8, low)
+    order, off = layout.order, layout.off
+    check_width(layout.bits, _localization_bound(bound, lams, n))
+    assert layout.room >= _localization_room(lams, n, order, off), \
+        "row room %d too small for the power sums' shifts" % layout.room
     totals = dict.fromkeys(lams, 0)
     for taut, table in fixed:
-        prods = {(): layout.pack_table(table)}
+        prods = {(): table}
         for lam in totals:
             for i, k in enumerate(lam):
                 if lam[:i + 1] not in prods:
                     x = prods[lam[:i]]
                     prods[lam[:i + 1]] = layout.truncate(sum(
-                        x << layout.shift(k * p, k * q)
-                        for p, q in taut.c if k * q <= order))
+                        x << layout.shift(k * p, k * q) for p, q in taut.c
+                        if k * q <= order and k * p <= order + off))
             totals[lam] += prods[lam]
     return {lam: layout.unpack_table(p) for lam, p in totals.items()}
+
+
+#: (n, order) -> [fixed-point data, depth, bound, layout, expanded fixed
+#: points]: the fixed points of every localization call at (n, order),
+#: expanded at the widest layout any call has needed yet
+_FIXED = {}
+
+
+def _fixed_points(n, order, lams):
+    """(layout, fixed, bound) for `_localization_sums` of lams at n points:
+    the fixed points of `_FIXED`, expanded again only when lams need more
+    slot width or row room than their layout has."""
+    entry = _FIXED.get((n, order))
+    if entry is None:
+        data = [fixed_point_data(mu) for mu in partitions_of(n)]
+        reach = [_omega_reach(d.cotangent_char, order) for d in data]
+        entry = _FIXED[(n, order)] = [
+            data, max(depth for depth, _ in reach),
+            sum(bound for _, bound in reach), None, None]
+    data, depth, bound, layout, fixed = entry
+    need = _localization_layout(lams, n, order, depth, bound)
+    if layout is None or need.bits > layout.bits or need.room > layout.room:
+        if layout is not None:
+            need = RowLayout(order, max(need.bits, layout.bits), depth,
+                             max(need.room, layout.room))
+        layout, fixed = entry[3:] = need, _expanded_fixed_points(
+            data, need, bound)
+    return layout, fixed, bound
 
 
 def euler_localization(f, n, order):
     """Sum over fixed points mu of f(taut_mu) * Omega(cotangent_mu).
 
-    With f = sum c_lam p_lam, each p_lam not in `_basis_tables` yet needs
-    Omega(cotangent_mu) expanded once per fixed point into its Laurent
-    table E_mu; `_localization_sums` sums E_mu p_lam(taut_mu) over mu on
-    packed ints, and `_apply_coefficients` then multiplies in c_lam, which
-    is a rational function of z1 for P/Q atoms.
+    With f = sum c_lam p_lam, the p_lam not in `_basis_tables` yet are
+    summed by `_localization_sums` over the fixed points of `_FIXED`: each
+    Omega(cotangent_mu) is expanded once per (n, order) into its packed
+    table E_mu, and again only for a wider layout. `_apply_coefficients`
+    then multiplies in c_lam, which is a rational function of z1 for P/Q
+    atoms.
     """
     check_guards("localization", n, order)
     fp = to_p(f)
 
     def build(lams):
-        fixed = []
-        for mu in partitions_of(n):
-            data = fixed_point_data(mu)
-            fixed.append((data.taut_char,
-                          omega(data.cotangent_char, order).expand(order)))
-        bits = _localization_bound(fixed, lams, n).bit_length() + 1
-        return _localization_sums(fixed, lams, n, order, bits)
+        layout, fixed, bound = _fixed_points(n, order, lams)
+        return _localization_sums(fixed, lams, n, layout, bound)
 
     return EulerResult(_apply_coefficients(
         _basis_tables("localization", n, order, fp.c, build), fp.c, order))
@@ -684,8 +693,8 @@ def euler_constant_term(f, n, order, force=False):
     supplying the monomials that raise exponents into it. Omega(z1z2 X)
     times (1 - z1z2)^n is exactly 1 in the window, so the prefactor left
     is Omega(n z1 + n z2) = 1/((1 - z1)(1 - z2))^n; `omega` applies it to
-    each table in place, as a wedge series, the table is expanded, and
-    `_apply_coefficients` then multiplies in c_lam / n!.
+    the z2-rows of each paired table, `expand` divides them by
+    (1 - z1)^n, and `_apply_coefficients` then multiplies in c_lam / n!.
 
     The kernel, p_lam and the raise cost are all invariant under S_n, so
     the orthant sum over every exponent vector u of the kernel,
@@ -701,16 +710,22 @@ def euler_constant_term(f, n, order, force=False):
     def build(lams):
         slack = max(map(sum, lams))
         kern = _delta_kernel(n, order, slack)
-        bits = _pairing_bound(kern, n, slack).bit_length() + 1
+        bound = _pairing_bound(kern, n, slack)
+        bits = bound.bit_length() + 1
         weighted = _weighted_kernel(kern, n, order, slack, bits)
+        # Omega(n z1 + n z2) sums each slot's copies along z2, then along
+        # z1, over at most C(order + n, n) slots each
+        bound *= comb(order + n, n) ** 2
+        layout = RowLayout(order, byte_width(bound))
+        prefactor = XLaurent(2, {(1, 0): n, (0, 1): n})
         tables = {}
         for lam, bs in _kernel_pairings(weighted, lams, n, order,
                                         bits).items():
-            rows = {}
+            rows = [0] * (order + 1)
             for (a, b), v in bs.c.items():
-                rows.setdefault(b, {})[a] = v
-            tables[lam] = omega(XLaurent(2, {(1, 0): n, (0, 1): n}), order,
-                                WedgeSeries(order, rows)).expand(order)
+                rows[b] += v << layout.bits * a
+            tables[lam] = layout.unpack_table(layout.place(expand(
+                *omega(prefactor, rows, (), layout), layout)))
         return tables
 
     return EulerResult(_apply_coefficients(
@@ -775,9 +790,10 @@ def euler_theorem(f, n, order):
     [n]_z1 each term is z1^shift * <e_rho P_mu, Q_nu> * [n]_z1 / b_{nu,n},
     a polynomial with nonnegative integer coefficients. The terms of each
     (rho, m) are summed as ints packed at one slot width that
-    `_theorem_bound` proves wide enough, and each sum is unpacked once;
-    per e_rho these numerators form one wedge series over [n]_z1, whose
-    expansion `_basis_tables` keeps, and `_apply_coefficients` multiplies
+    `_theorem_bound`, times the top coefficient of 1/[n]_z1!, proves wide
+    enough for the expansion too; per e_rho these numerators are the
+    z2-rows of one series over [n]_z1!, `expand` divides each of them once,
+    `_basis_tables` keeps the table, and `_apply_coefficients` multiplies
     in the e-coefficients of f.
 
     No term needs a holomorphy check of its own: with a = mu'_i and
@@ -790,12 +806,15 @@ def euler_theorem(f, n, order):
     fe = convert(to_p(f), "e")
 
     def build(rhos):
-        bits = _theorem_bound(rhos, n, order).bit_length() + 1
-        return {rho: WedgeSeries(order, {m: dict(enumerate(unpack(p, bits)))
-                                         for m, p in by_m.items()},
-                                 range(1, n + 1)).expand(order)
+        # 1/den is nonnegative and nondecreasing, so a slot of a numerator
+        # times it is at most the numerator at z1 = 1 times its top slot
+        den = tuple(range(1, n + 1))
+        layout = RowLayout(order, byte_width(_theorem_bound(
+            rhos, n, order) * den_series(den, order + 1)[-1]))
+        return {rho: layout.unpack_table(layout.place(expand(
+                    [by_m[m] for m in range(order + 1)], den, layout)))
                 for rho, by_m in _theorem_numerators(rhos, n, order,
-                                                     bits).items()}
+                                                     layout.bits).items()}
 
     return EulerResult(_apply_coefficients(
         _basis_tables("theorem", n, order, fe.c, build), fe.c, order))

@@ -6,15 +6,18 @@ int.
 The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
 
-`PackedLayout` packs an integer series of the window, or a Laurent table
-in z1 whose rows reach below it, into one Python int (Kronecker
-substitution), so a product is one big-int multiply. A
-univariate polynomial with nonnegative integer coefficients is packed the
-same way as its value at z = 2^bits; `unpack` reads its coefficients back,
-and `check_width` asserts that a slot width holds a bound.
+`PackedLayout` packs an integer series of the window into one Python int
+(Kronecker substitution), so a product is one big-int multiply, and
+`RowLayout` packs the z2-rows of a Laurent table in z1 side by side, so a
+product by a monomial is one shift. A univariate polynomial with
+nonnegative integer coefficients is packed the same way as its value at
+z = 2^bits; `unpack` reads its coefficients back, and `check_width` asserts
+that a slot width holds a bound. `omega` and `expand` build the wedge
+expansions of the evaluators on z2-rows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .xlaurent import add_terms
 
@@ -106,7 +109,7 @@ class BiSeries:
         return hash((self.order, frozenset(self.c.items())))
 
     def coeff(self, a, b):
-        return self.c.get((a, b), Fraction(0))
+        return self.c.get((a, b), 0)
 
     def is_symmetric(self):
         return all(self.c.get((b, a)) == v for (a, b), v in self.c.items())
@@ -131,6 +134,11 @@ def check_width(bits, bound):
     absolute value at most bound."""
     assert bound < 1 << (bits - 1), \
         "slot width %d too small for bound %d" % (bits, bound)
+
+
+def byte_width(bound):
+    """The least multiple of 8 that is a slot width holding bound."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def unpack(p, bits):
@@ -161,52 +169,40 @@ def _tile(row, step, count):
 
 
 class PackedLayout:
-    """Integer series of the window -low <= a <= order, 0 <= b <= order,
-    each packed into one Python int (Kronecker substitution; Harvey, J.
-    Symbolic Comput. 44, 2009). low defaults to 0; a layout with low > 0
-    holds Laurent tables in z1.
+    """Integer series of the window 0 <= a, b <= order, each packed into one
+    Python int (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009).
 
-    Slot (a, b) holds a signed integer at bit B*((a + low)*(2*order + 1) + b),
-    so a packed series is z1^low times its value at z2 = 2^B,
-    z1 = 2^(B*(2*order + 1)), and sums and products are int + and *. A row
-    is 2*order + 1 slots wide, so the product of two packed series, whose
-    slots fill 0 <= b <= 2*order, never carries one row into the next. Every
-    slot, of a packed series, of a product and of a sum of products, must
-    lie in (-2^(B-1), 2^(B-1)); `check_width(B, bound)` asserts a bound on
-    them.
+    Slot (a, b) holds a signed integer at bit B*(a*(2*order + 1) + b), so a
+    packed series is its value at z2 = 2^B, z1 = 2^(B*(2*order + 1)), and
+    sums and products are int + and *. A row is 2*order + 1 slots wide, so
+    the product of two packed series, whose slots fill 0 <= b <= 2*order,
+    never carries one row into the next. Every slot, of a packed series, of
+    a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
+    `check_width(B, bound)` asserts a bound on them.
 
-    `truncate(p, cap)` cuts p to the window -low <= a <= cap,
-    0 <= b <= cap in three int operations, ((p + BIAS) & KEEP) - KEEP_BIAS:
-    BIAS puts 2^(B-1) in every slot of the rows a <= cap, which makes each
-    of them a digit in [0, 2^B), so no borrow crosses a slot and the rows
-    above cannot reach the bits below them; KEEP masks the digits of the
-    window and KEEP_BIAS takes their bias back off. The masks of each cap
-    are built once.
-
-    `pack_table` and `unpack_table` convert Laurent tables in O(size): they
-    need byte-aligned slots (B a multiple of 8) and go through
-    `int.from_bytes` and `int.to_bytes` on the biased digits.
+    `truncate(p, cap)` cuts p to the window 0 <= a, b <= cap in three int
+    operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every
+    slot of the rows a <= cap, which makes each of them a digit in
+    [0, 2^B), so no borrow crosses a slot and the rows above cannot reach
+    the bits below them; KEEP masks the digits of the window and KEEP_BIAS
+    takes their bias back off. The masks of each cap are built once.
     """
 
-    __slots__ = ("order", "bits", "stride", "low", "_masks")
+    __slots__ = ("order", "bits", "stride", "_masks")
 
-    def __init__(self, order, bits, low=0):
+    def __init__(self, order, bits):
         self.order = order
         self.bits = bits
         self.stride = 2 * order + 1
-        self.low = low
         self._masks = {}
 
     def shift(self, a, b):
         """The left shift that multiplies a packed series by z1^a z2^b."""
         return self.bits * (a * self.stride + b)
 
-    def _at(self, a, b):
-        return self.shift(a + self.low, b)
-
     def _mask(self, cap):
-        """(BIAS, KEEP, KEEP_BIAS) of the window -low <= a <= cap,
-        0 <= b <= cap."""
+        """(BIAS, KEEP, KEEP_BIAS) of the window 0 <= a, b <= cap."""
         m = self._masks.get(cap)
         if m is None:
             half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
@@ -215,64 +211,259 @@ class PackedLayout:
             row_keep = sum(digit << at for at in cols[:cap + 1])
             row_half = sum(half << at for at in cols[:cap + 1])
             m = self._masks[cap] = tuple(
-                _tile(row, self.shift(1, 0), self.low + cap + 1)
+                _tile(row, self.shift(1, 0), cap + 1)
                 for row in (row_bias, row_keep, row_half))
         return m
 
     def pack(self, series):
         """The int of an integer BiSeries of order at most this layout's."""
-        return sum(v << self._at(a, b) for (a, b), v in series.c.items())
+        return sum(v << self.shift(a, b) for (a, b), v in series.c.items())
 
     def truncate(self, p, cap=None):
         """The packed series or product p with every slot beyond the window
-        -low <= a <= cap, 0 <= b <= cap (default: order) cut."""
+        0 <= a, b <= cap (default: order) cut."""
         bias, keep, keep_bias = self._mask(self.order if cap is None else cap)
         return ((p + bias) & keep) - keep_bias
 
     def unpack(self, p, cap):
         """BiSeries of order cap <= order of the slots 0 <= a, b <= cap of
-        p, a packed series or an untruncated product."""
+        p, a packed series or an untruncated product. Each row is cut to
+        its cap + 1 slots before they are read, so a slot read shifts a
+        row-sized int, not the whole product."""
         q = p + self._mask(cap)[0]
         half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
+        row_keep = (1 << self.bits * (cap + 1)) - 1
         coeffs = {}
         for a in range(cap + 1):
-            row = q >> self._at(a, 0)
+            row = (q >> self.shift(a, 0)) & row_keep
             for b in range(cap + 1):
                 v = ((row >> self.bits * b) & digit) - half
                 if v:
                     coeffs[(a, b)] = v
         return BiSeries(cap, coeffs)
 
-    def pack_table(self, table):
-        """The int of a Laurent table {(a, b): int} of the window: every
-        slot is written as its biased digit into one byte string, which is
-        read as one int, and the bias is taken off."""
-        bias = self._mask(self.order)[0]
-        width, half = self.bits // 8, 1 << (self.bits - 1)
-        low, stride = self.low, self.stride
-        buf = bytearray(bias.to_bytes(self._at(self.order + 1, 0) // 8,
-                                      "little"))
-        digits = memoryview(buf)
-        for (a, b), v in table.items():
-            at = width * ((a + low) * stride + b)
-            digits[at:at + width] = (v + half).to_bytes(width, "little")
-        return int.from_bytes(buf, "little") - bias
+
+class RowLayout:
+    """Integer Laurent tables in z1 of the window -off <= a <= order,
+    0 <= b <= order, packed z2-major into one Python int: slot (a, b) at bit
+    B*(b*room + a + off), room >= order + off + 1 slots per z2-row.
+
+    A z2-row alone is one int with the coefficient of z1^a at bit
+    B*(a + off), so times z1^s it is a shift by B*s, and `place` puts the
+    rows side by side. A table times z1^s z2^t is a shift by `shift(s, t)`;
+    the slots of a row above a = order are room for such copies, whose
+    slots past the window stay within the row while
+    s <= room - order - off - 1. Every slot, of a table, of its shifted
+    copies and of their sums, must lie in (-2^(B-1), 2^(B-1));
+    `check_width(B, bound)` asserts a bound on them.
+
+    `truncate` cuts a table to the window and `cut_row` cuts a z2-row to
+    its slots a <= order, each in three int operations as
+    `PackedLayout.truncate` does: the bias goes into every slot of a row,
+    the room included, so a negative slot past the window borrows from no
+    slot of the next row. `unpack_table` needs byte-aligned slots (B a
+    multiple of 8): it cuts the biased digits into rows through
+    `int.to_bytes`, so each slot read shifts a row-sized int.
+    """
+
+    __slots__ = ("order", "bits", "off", "room", "_row", "_window", "_neg")
+
+    def __init__(self, order, bits, off=0, room=None):
+        width = order + off + 1
+        self.order, self.bits, self.off = order, bits, off
+        self.room = width if room is None else room
+        assert self.room >= width, "row room %d below the window's %d slots" \
+            % (self.room, width)
+        half, digit = 1 << (bits - 1), (1 << bits) - 1
+        row_half = _tile(half, bits, width)
+        self._row = (row_half, (1 << bits * width) - 1)
+        step, rows = bits * self.room, order + 1
+        self._window = tuple(_tile(row, step, rows) for row in (
+            _tile(half, bits, self.room), self._row[1], row_half))
+        self._neg = tuple(_tile(_tile(v, bits, off), step, rows)
+                          for v in (digit, half))
+
+    def shift(self, a, b):
+        """The left shift that multiplies a packed table by z1^a z2^b."""
+        return self.bits * (b * self.room + a)
+
+    def place(self, rows):
+        """The int of the table whose z2-row b is the int rows[b]."""
+        step = self.bits * self.room
+        return sum(row << step * b for b, row in enumerate(rows))
+
+    def cut_row(self, row):
+        """The z2-row row, or a product of rows, cut to its slots a <= order."""
+        bias, keep = self._row
+        return ((row + bias) & keep) - bias
+
+    def truncate(self, p):
+        """The packed table p, or a sum of its shifted copies, cut to the
+        window."""
+        bias, keep, keep_bias = self._window
+        return ((p + bias) & keep) - keep_bias
 
     def unpack_table(self, p):
-        """The nonzero slots {(a, b): int} of p, a packed series of the
-        window, read from the byte string of its biased digits. The rows
-        a < 0 are read only when p has a bit below row 0, which it has
-        exactly when one of their slots is not zero."""
+        """The nonzero slots {(a, b): int} of p, a packed table of the
+        window: the biased digits are turned into one byte string, and each
+        row's slots into one int. The slots a < 0 are read only when one of
+        them is not zero, which one mask test tells."""
+        assert self.bits % 8 == 0, "unpack_table needs byte-aligned slots"
         width, half = self.bits // 8, 1 << (self.bits - 1)
-        buf = (p + self._mask(self.order)[0]).to_bytes(
-            self._at(self.order + 1, 0) // 8, "little")
-        low = self.low if p & ((1 << self._at(0, 0)) - 1) else 0
+        digit = (1 << self.bits) - 1
+        q = p + self._window[2]
+        neg_keep, neg_half = self._neg
+        first = self.off if q & neg_keep == neg_half else 0
+        last = self.off + self.order + 1
+        buf = q.to_bytes(width * (self.order * self.room + last), "little")
         coeffs = {}
-        for a in range(-low, self.order + 1):
-            row = width * (a + self.low) * self.stride
-            for b in range(self.order + 1):
-                at = row + width * b
-                v = int.from_bytes(buf[at:at + width], "little") - half
+        for b in range(self.order + 1):
+            at = width * (b * self.room + first)
+            row = int.from_bytes(buf[at:at + width * (last - first)], "little")
+            for s in range(last - first):
+                v = ((row >> self.bits * s) & digit) - half
                 if v:
-                    coeffs[(a, b)] = v
+                    coeffs[(s + first - self.off, b)] = v
         return coeffs
+
+
+# ---------------------------------------------------------------------------
+# wedge expansion: iterated Laurent series, z2 outermost, on packed z1-rows
+#
+# Every denominator a wedge factor creates is a product of (1 - z1^k), so a
+# series is kept as integer Laurent polynomials in z1, one per z2-degree b,
+# over one such product. Each polynomial is one int, a z2-row of a
+# `RowLayout`: the coefficient of z1^e sits at slot e + off, so times z1^p
+# is a shift. `omega` updates the rows by shift-adds and extends the
+# denominator, and `expand` multiplies each row once by the packed power
+# series of 1/den. No polynomial gcd is taken.
+
+class WedgeSeries:
+    """Truncated series sum_b z2^b c_b(z1) / prod_{k in den} (1 - z1^k).
+
+    c maps a z2-degree 0 <= b <= order to an integer Laurent polynomial,
+    a dict z1-exponent -> nonzero int; den is a sorted tuple of positive k.
+    No evaluator builds one; its product is the wedge-series oracle's.
+    """
+
+    __slots__ = ("order", "c", "den")
+
+    def __init__(self, order, coeffs=None, den=()):
+        self.order = order
+        self.c = {}
+        for b, num in (coeffs or {}).items():
+            num = {e: v for e, v in num.items() if v}
+            if 0 <= b <= order and num:
+                self.c[b] = num
+        self.den = tuple(sorted(den))
+
+    def __mul__(self, other):
+        D = self.order
+        # inline per-term kernel; zeros are dropped once, by the constructor
+        out = {}
+        for b1, x in self.c.items():
+            for b2, y in other.c.items():
+                b = b1 + b2
+                if b > D:
+                    continue
+                acc = out.setdefault(b, {})
+                for e1, v1 in x.items():
+                    for e2, v2 in y.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+        return WedgeSeries(D, out, self.den + other.den)
+
+
+def omega(char, rows, den, layout):
+    """Multiply sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k) by the
+    plethystic exponential of a virtual character, an XLaurent(2, ...) of
+    weight multiplicities, and return the product as (rows, den).
+
+    rows holds the layout.order + 1 z2-rows of `layout`, a `RowLayout`,
+    and is not changed. Omega(char) is the product over monomials
+    m = z1^p z2^q of multiplicity c of (1 - m)^(-c). A large monomial (q < 0, or q = 0 > p) is made small:
+    (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)), so the series is shifted by
+    (-m^(-1))^c; the shifts of all of them are made at once, before every
+    other step, and rows shifted past the order are dropped. Then z1^p
+    with p > 0 joins den; otherwise row b gains z1^p times row b - q,
+    bottom row up, to divide by 1 - m, and loses it, top row down, to
+    multiply by 1 - m (c < 0, which needs q >= 0). No step lowers a
+    z2-degree, so truncating at the order commutes with every step.
+
+    Times z1^p is a shift by B*p, a right shift when p < 0. It is exact
+    while no row reaches below its slot 0, z1^-off: the caller's depth
+    `layout.off` must bound how deep the rows reach, and every right shift
+    asserts that the bits it drops are zero. Every slot must stay within
+    (-2^(B-1), 2^(B-1)), which the caller asserts with `check_width`.
+    """
+    order, bits = layout.order, layout.bits
+    rows, den = list(rows), list(den)
+    steps = []
+    shift_p = shift_q = 0
+    sign = 1
+    for (p, q), c in char.items_sorted():
+        if (p, q) == (0, 0):
+            raise ValueError("plethystic exponential undefined at the "
+                             "trivial monomial")
+        if c < 0 and q < 0:
+            raise ValueError("cannot store z2-negative polynomial factor")
+        if c > 0 and (q < 0 or q == 0 > p):
+            p, q = -p, -q
+            shift_p, shift_q, sign = shift_p + p * c, shift_q + q * c, \
+                sign * (-1) ** c
+        if c > 0 and q == 0:
+            den += [p] * c
+        else:
+            steps.append((p, q, c))
+    if shift_p or shift_q:
+        keep = max(0, order + 1 - shift_q)
+        rows = [0] * (order + 1 - keep) + [
+            sign * _times_z1(row, shift_p, bits) for row in rows[:keep]]
+    for p, q, c in steps:
+        for _ in range(abs(c)):
+            for b in range(q, order + 1) if c > 0 else range(order, q - 1, -1):
+                src = rows[b - q]
+                if src:
+                    src = _times_z1(src, p, bits)
+                    rows[b] = rows[b] + src if c > 0 else rows[b] - src
+    return rows, tuple(sorted(den))
+
+
+def _times_z1(row, p, bits):
+    """A z2-row at slot width bits times z1^p; when p < 0 the slots it drops
+    must be zero."""
+    if p >= 0:
+        return row << bits * p
+    assert not row & ((1 << bits * -p) - 1), \
+        "a z2-row reaches below the depth of its layout"
+    return row >> bits * -p
+
+
+@lru_cache(maxsize=None)
+def den_series(den, length):
+    """The coefficients of z1^0..z1^(length-1) of 1/prod_{k in den}(1 - z1^k),
+    a tuple of nonnegative ints, nondecreasing when 1 is in den."""
+    g = [1] + [0] * (length - 1)
+    for k in den:
+        for i in range(k, length):
+            g[i] += g[i - k]
+    return tuple(g)
+
+
+@lru_cache(maxsize=None)
+def _packed_den_series(den, length, bits):
+    """`den_series(den, length)` as one z2-row of slot width bits."""
+    return sum(v << bits * i for i, v in enumerate(den_series(den, length)))
+
+
+def expand(rows, den, layout):
+    """The z2-rows of sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k), each
+    cut to the window of `layout`, z1^-off..z1^order.
+
+    A coefficient at z1^a, a <= order, takes the power series of 1/den only
+    up to z1^(order + off), as no row reaches below z1^-off, so each row is
+    multiplied once by that series, packed, and cut with `cut_row`. The
+    slots of the window must stay within (-2^(B-1), 2^(B-1)); those above
+    it only carry upwards, and the cut drops them.
+    """
+    g = _packed_den_series(den, layout.order + layout.off + 1, layout.bits)
+    return [layout.cut_row(row * g) for row in rows]

@@ -206,6 +206,22 @@ def test_chi_constant_term_guard_names_no_cli_option(capsys):
         assert "euler_constant_term(..., force=True)" in err
 
 
+def test_chi_constant_term_refuses_a_max_degree_past_its_guard(capsys):
+    # refused before any work, as under --method all; the guard's max degree
+    # itself is admitted, and the API can force a larger one
+    line = ("error: guard: constant-term evaluator refuses max degree > %d "
+            "(only the API can override: euler_constant_term(..., "
+            "force=True))\n" % euler.MAX_DEG_CONSTANT_TERM)
+    for method in ("constant-term", "all"):
+        code, out, err = run_cli(
+            capsys, "chi", "--f", "s[1]", "--n", "3", "--max-deg",
+            str(euler.MAX_DEG_CONSTANT_TERM + 1), "--method", method)
+        assert (code, out, err) == (2, "", line)
+    euler.check_guards("constant-term", 3, euler.MAX_DEG_CONSTANT_TERM)
+    euler.check_guards("constant-term", 3, euler.MAX_DEG_CONSTANT_TERM + 1,
+                       force=True)
+
+
 def test_chi_all_checks_every_guard_before_any_evaluator(capsys,
                                                        monkeypatch):
     def refuse(*args, **kwargs):

@@ -15,16 +15,17 @@ from hilbeuler import euler
 from delta_kernel_by_reach import pair_kernel, reach as _reach
 from hilbeuler.euler import (METHODS, GuardError, WedgeSeries,
                              _apply_coefficients, _delta_kernel,
-                             _holomorphic_part, _kernel_bound, _kernel_build,
-                             _kernel_pairings, _localization_bound,
-                             _localization_sums, _majorants, _orbit_size,
-                             _pair_kernel, _pairing_bound, _raise_cost,
-                             _row_end_caps, _theorem_bound,
+                             _expanded_fixed_points, _holomorphic_part,
+                             _kernel_bound, _kernel_build, _kernel_pairings,
+                             _localization_bound, _localization_layout,
+                             _localization_sums, _majorants, _omega_reach,
+                             _orbit_size, _pair_kernel, _pairing_bound,
+                             _raise_cost, _row_end_caps, _theorem_bound,
                              _theorem_numerators, _weighted_kernel,
                              cross_check,
                              euler_constant_term, euler_localization,
-                             euler_theorem, evaluate, fixed_point_data, omega,
-                             partition_function)
+                             euler_theorem, evaluate, expand,
+                             fixed_point_data, omega, partition_function)
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
                                        expand_in_P, gaussian_binomial, hl_P,
@@ -32,7 +33,8 @@ from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
-from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
+from hilbeuler.series import (BiSeries, PackedLayout, RowLayout, byte_width,
+                              check_width, unpack)
 from hilbeuler.symfunc import (SymFunc, convert, multiply, p_in_x,
                                schur_positive, to_p)
 from hilbeuler.xlaurent import XLaurent, add_terms
@@ -48,7 +50,23 @@ def _swap(char):
 def _to_biseries(ws):
     """Expand a wedge series in z1; every z2-coefficient must be
     holomorphic at 0."""
-    return _holomorphic_part(ws.expand(ws.order), ws.order)
+    return _holomorphic_part(by_wedges.expand(ws, ws.order), ws.order)
+
+
+def packed_expansion(char, order, off=0, bits=64, rows=None, den=()):
+    """The Laurent table {(a, b): int}, a <= order, of Omega(char) times
+    sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k), default 1, by the
+    packed `omega` and `expand` on z2-rows of depth off."""
+    layout = RowLayout(order, bits, off)
+    if rows is None:
+        rows = [1 << bits * off] + [0] * order
+    return layout.unpack_table(layout.place(expand(
+        *omega(char, rows, den, layout), layout)))
+
+
+def assert_packed_equals_oracle(char, order, off=0):
+    want = by_wedges.expand(by_wedges.omega(char, order), order)
+    assert packed_expansion(char, order, off) == want, (char, order)
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +75,17 @@ def _to_biseries(ws):
 def test_omega_small_monomials():
     D = 4
     # Omega(z1 + z2) = 1/((1-z1)(1-z2))
-    ws = omega(XLaurent(2, {(1, 0): 1, (0, 1): 1}), D)
+    char = XLaurent(2, {(1, 0): 1, (0, 1): 1})
+    ws = by_wedges.omega(char, D)
     assert _to_biseries(ws) == oracle.from_rf_product(D, GEO, GEO)
+    assert_packed_equals_oracle(char, D)
     # Omega(1 - M) with M = z1 + z2 - z1*z2... polynomial factor case:
-    # Omega(-(z1*z2)) = 1 - z1*z2
-    ws = omega(XLaurent(2, {(1, 1): -1}), D)
+    # Omega(-(z1*z2)) = 1 - z1*z2, c < 0
+    char = XLaurent(2, {(1, 1): -1})
+    ws = by_wedges.omega(char, D)
     assert _to_biseries(ws) == (BiSeries.const(D, 1)
                                 - BiSeries.monomial(D, 1, 1))
+    assert_packed_equals_oracle(char, D)
 
 
 def test_omega_large_monomial():
@@ -84,21 +106,71 @@ def test_omega_large_monomial():
 
 def test_omega_large_monomial_laurent_numerators():
     # the same factors as integer Laurent numerators over prod (1 - z1^k)
-    ws = omega(XLaurent(2, {(1, -1): 1}), 4)
+    char = XLaurent(2, {(1, -1): 1})
+    ws = by_wedges.omega(char, 4)
     assert ws.c == {k: {-k: -1} for k in range(1, 5)}
     assert ws.den == ()
     with pytest.raises(ArithmeticError,
                        match="z2-coefficient of degree 1 is not holomorphic "
                              "at z1=0"):
         _to_biseries(ws)
-    ws0 = omega(XLaurent(2, {(-1, 0): 1}), 4)
+    # packed, q < 0: row k reaches z1^-k, so depth 4 holds it and 3 does not
+    assert_packed_equals_oracle(char, 4, off=4)
+    with pytest.raises(AssertionError, match="below the depth"):
+        packed_expansion(char, 4, off=3)
+    char = XLaurent(2, {(-1, 0): 1})
+    ws0 = by_wedges.omega(char, 4)
     assert ws0.c == {0: {1: -1}}
     assert ws0.den == (1,)
+    # packed, q = 0 > p
+    assert_packed_equals_oracle(char, 4)
 
 
 def test_omega_rejects_trivial_monomial():
     with pytest.raises(ValueError):
-        omega(XLaurent(2, {(0, 0): 1}), 3)
+        by_wedges.omega(XLaurent(2, {(0, 0): 1}), 3)
+    with pytest.raises(ValueError):
+        packed_expansion(XLaurent(2, {(0, 0): 1}), 3)
+
+
+def fixed_point_reach(mus, order):
+    """(fixed-point data, depth, bound) of the fixed points mus, as
+    `euler._fixed_points` gets them."""
+    data = [fixed_point_data(mu) for mu in mus]
+    reach = [_omega_reach(d.cotangent_char, order) for d in data]
+    return data, max(r[0] for r in reach), sum(r[1] for r in reach)
+
+
+def test_packed_omega_of_every_fixed_point_equals_the_oracle():
+    # at the depth and width of _omega_reach, which bound the oracle's
+    # table; one fixed point of n = 6 leaves the window empty at D <= 5
+    for n in range(1, 7):
+        for D in (0, 1, 5, 8, 12):
+            for mu in partitions_of(n):
+                char = fixed_point_data(mu).cotangent_char
+                depth, bound = _omega_reach(char, D)
+                want = by_wedges.expand(by_wedges.omega(char, D), D)
+                assert -min((a for a, _ in want), default=0) <= depth
+                assert max(map(abs, want.values()), default=0) <= bound
+                got = packed_expansion(char, D, depth, byte_width(bound))
+                assert got == want, (mu, D)
+
+
+def test_omega_depth_one_short_and_width_one_bit_short_are_refused():
+    # the depth of (n) is reached (z1^-a z2 of its arm-a cell, D times),
+    # and the widths are of the largest bound at these n, D
+    for n, D in ((6, 8), (3, 5), (2, 1), (6, 16)):
+        data, depth, bound = fixed_point_reach(partitions_of(n), D)
+        assert depth == (n - 1) * D
+        bits = bound.bit_length() + 1
+        _expanded_fixed_points(data, RowLayout(D, byte_width(bound), depth),
+                               bound)
+        with pytest.raises(AssertionError, match="below the depth"):
+            _expanded_fixed_points(
+                data, RowLayout(D, byte_width(bound), depth - 1), bound)
+        with pytest.raises(AssertionError, match="slot width"):
+            _expanded_fixed_points(data, RowLayout(D, bits - 1, depth),
+                                   bound)
 
 
 def test_fixed_point_data():
@@ -233,7 +305,12 @@ def test_wedge_series_laurent_arithmetic():
     assert ab.c == {2: {0: 1}, 3: {1: 1}}
     assert ab.den == (2,)
     # 1/(1 - z1^2) in z2-degree 2, z1/(1 - z1^2) in z2-degree 3
-    assert ab.expand(3) == {(0, 2): 1, (2, 2): 1, (1, 3): 1, (3, 3): 1}
+    want = {(0, 2): 1, (2, 2): 1, (1, 3): 1, (3, 3): 1}
+    assert by_wedges.expand(ab, 3) == want
+    # the packed expansion of the same rows
+    layout = RowLayout(D, 8)
+    assert layout.unpack_table(layout.place(expand(
+        [0, 0, 1, 1 << 8], (2,), layout))) == want
     # numerators cancel without normalisation and zeros are dropped
     assert (WedgeSeries(D, {0: {0: 1, 1: 1}})
             * WedgeSeries(D, {0: {0: 1, 1: -1}})).c == {0: {0: 1, 2: -1}}
@@ -286,7 +363,8 @@ def test_wedge_products_equal_rational_function_products():
                 continue
             factors.append((p, q, mult))
             char[(p, q)] = char.get((p, q), 0) + mult
-            assert omega(XLaurent(2, {(p, q): mult}), D, new) is new
+            assert by_wedges.omega(XLaurent(2, {(p, q): mult}), D,
+                                   new) is new
             if mult > 0:
                 fo = oracle.wedge_inverse_factor(p, q, D)
             else:
@@ -294,10 +372,20 @@ def test_wedge_products_equal_rational_function_products():
             for _ in range(abs(mult)):
                 old = old * fo
         # one character holding every factor gives the same series
-        once = omega(XLaurent(2, char), D, WedgeSeries(D, rows, den))
+        once = by_wedges.omega(XLaurent(2, char), D,
+                               WedgeSeries(D, rows, den))
         for hi in (D, D + 3):
-            assert new.expand(hi) == _rf_laurent(old, hi), (D, rows, factors)
-            assert once.expand(hi) == new.expand(hi), (D, rows, factors)
+            assert (by_wedges.expand(new, hi)
+                    == _rf_laurent(old, hi)), (D, rows, factors)
+            assert (by_wedges.expand(once, hi)
+                    == by_wedges.expand(new, hi)), (D, rows, factors)
+        # and so do the packed omega and expand, on rows deep enough for
+        # every z1^p of every factor at every z2-degree
+        off = 2 + sum(abs(p * mult) for p, _, mult in factors) * (D + 1)
+        packed = [sum(v << 64 * (e + off) for e, v in rows.get(b, {}).items())
+                  for b in range(D + 1)]
+        assert (packed_expansion(XLaurent(2, char), D, off, 64, packed, den)
+                == by_wedges.expand(new, D)), (D, rows, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +465,9 @@ def theorem_by_tuples(f, n, order):
                     zm = by_tuples.z_multinomial(nu, n)
                     for i, v in enumerate(pmul(c, zm)):
                         num[shift + i] = num.get(shift + i, 0) + v
-    tables = {rho: WedgeSeries(order, nums[rho], range(1, n + 1))
-              .expand(order) for rho in fe.c}
+    tables = {rho: by_wedges.expand(WedgeSeries(order, nums[rho],
+                                                range(1, n + 1)), order)
+              for rho in fe.c}
     return _apply_coefficients(tables, fe.c, order)
 
 
@@ -444,21 +533,11 @@ def test_localization_equals_theorem_at_n6_D12():
                 == euler_theorem(f, 6, 12).series), expr
 
 
-def _fixed_points(mus, order):
-    """(taut_mu, expanded Omega(cotangent_mu)) for each mu, as
-    `euler_localization` builds them."""
-    out = []
-    for mu in mus:
-        data = fixed_point_data(mu)
-        out.append((data.taut_char,
-                    omega(data.cotangent_char, order).expand(order)))
-    return out
-
-
 def packed_sums(lams, n, mus, order):
-    fixed = _fixed_points(mus, order)
-    bits = _localization_bound(fixed, lams, n).bit_length() + 1
-    return _localization_sums(fixed, lams, n, order, bits)
+    data, depth, bound = fixed_point_reach(mus, order)
+    layout = _localization_layout(lams, n, order, depth, bound)
+    return _localization_sums(_expanded_fixed_points(data, layout, bound),
+                              lams, n, layout, bound)
 
 
 def test_packed_localization_equals_wedge_product_oracle():
@@ -482,11 +561,66 @@ def test_packed_localization_equals_wedge_product_oracle():
 def test_localization_width_one_bit_short_of_the_bound_is_refused():
     for expr, n, D in (("s[2,1]", 6, 16), ("p[2]-s[1,1]", 3, 5), ("1", 1, 0)):
         lams = to_p(to_symfunc(parse(expr))).c
-        fixed = _fixed_points(partitions_of(n), D)
-        bits = _localization_bound(fixed, lams, n).bit_length() + 1
-        _localization_sums(fixed, lams, n, D, bits)
+        data, depth, bound = fixed_point_reach(partitions_of(n), D)
+        layout = _localization_layout(lams, n, D, depth, bound)
+        fixed = _expanded_fixed_points(data, layout, bound)
+        _localization_sums(fixed, lams, n, layout, bound)
+        bits = _localization_bound(bound, lams, n).bit_length() + 1
         with pytest.raises(AssertionError, match="slot width"):
-            _localization_sums(fixed, lams, n, D, bits - 1)
+            _localization_sums(fixed, lams, n, RowLayout(
+                D, bits - 1, depth, layout.room), bound)
+        # and the row room one slot short of the power sums' shifts
+        if any(len(lam) for lam in lams):
+            with pytest.raises(AssertionError, match="row room"):
+                _localization_sums(fixed, lams, n, RowLayout(
+                    D, layout.bits, depth, layout.room - 1), bound)
+
+
+def _forget_localization(n, order):
+    """Drop every localization table and the fixed points kept at
+    (n, order)."""
+    euler._FIXED.pop((n, order), None)
+    for key in [key for key in euler._TABLES
+                if key[:3] == ("localization", n, order)]:
+        del euler._TABLES[key]
+
+
+def test_localization_expands_each_fixed_point_once_per_n_and_order(
+        monkeypatch):
+    calls = []
+    for name in ("fixed_point_data", "omega"):
+        def counted(*args, _name=name, _fn=getattr(euler, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(euler, name, counted)
+    n, D = 5, 7
+    _forget_localization(n, D)
+    try:
+        # p[1,1,1] and p[3], then p[1,1] and p[2]: no longer, no larger part
+        euler_localization(to_symfunc(parse("s[2,1]")), n, D)
+        assert calls.count("fixed_point_data") == calls.count("omega") == 7
+        calls.clear()
+        f = to_symfunc(parse("s[2]"))
+        got = euler_localization(f, n, D).series
+        assert calls == []
+        assert got == by_wedges.localization_by_wedge_products(f, n, D).series
+    finally:
+        _forget_localization(n, D)
+
+
+def test_a_fixed_point_dropped_from_the_cache_is_refused():
+    # the sum over the other fixed points keeps the pole of the dropped
+    # one, and _holomorphic_part refuses it
+    n, D = 4, 5
+    _forget_localization(n, D)
+    try:
+        euler_localization(to_symfunc(parse("s[2,1]")), n, D)
+        # the entry's expanded fixed points lose mu = (4)
+        euler._FIXED[(n, D)][4].pop(0)
+        with pytest.raises(ArithmeticError, match="is not holomorphic"):
+            euler_localization(to_symfunc(parse("p[2]")), n, D)
+    finally:
+        _forget_localization(n, D)
 
 
 def test_a_packed_sum_with_a_pole_reaches_the_holomorphy_check():

@@ -5,7 +5,8 @@ import pytest
 
 from constant_term_by_fractions import geometric, geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1, pmul
-from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
+from hilbeuler.series import (BiSeries, PackedLayout, RowLayout,
+                              check_width, unpack)
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
@@ -295,23 +296,41 @@ def test_packed_nonnegative_polynomial_product_equals_pmul():
 
 
 def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
-    # rows down to a = -low and byte-aligned slots, with slot values up to
-    # +-(2^(B-1) - 1); a shifted copy, z1^i z2^j times the table, keeps its
-    # slots within 2*order and is cut back to the window
+    # z2-rows down to a = -off and byte-aligned slots, with slot values up
+    # to +-(2^(B-1) - 1), placed side by side with spare room; a shifted
+    # copy, z1^i z2^j times the table with i within the room, keeps its
+    # slots in their rows and is cut back to the window, and a z2-row times
+    # any z1^i is cut back to its window by cut_row
     rng = random.Random(20)
-    for order, low, bits in ((0, 0, 8), (3, 2, 8), (4, 5, 16)):
-        layout = PackedLayout(order, bits, low)
+    for order, off, bits, spare in ((0, 0, 8, 0), (3, 2, 8, 3),
+                                    (4, 5, 16, 6)):
+        layout = RowLayout(order, bits, off, order + off + 1 + spare)
         top = (1 << (bits - 1)) - 1
-        window = [(a, b) for a in range(-low, order + 1)
+        window = [(a, b) for a in range(-off, order + 1)
                   for b in range(order + 1)]
         for _ in range(40):
             keys = rng.sample(window, rng.randint(0, len(window)))
             table = add_terms({}, ((k, rng.choice((-top, top, rng.randint(
                 -top, top)))) for k in keys))
-            p = layout.pack_table(table)
+            rows = [sum(v << bits * (a + off) for (a, c), v in table.items()
+                        if c == b) for b in range(order + 1)]
+            p = layout.place(rows)
             assert layout.unpack_table(p) == table
-            i, j = rng.randint(0, order + low), rng.randint(0, order)
+            i, j = rng.randint(0, spare), rng.randint(0, order)
             shifted = {(a + i, b + j): v for (a, b), v in table.items()
                        if a + i <= order and b + j <= order}
-            cut = layout.truncate(p << bits * (i * layout.stride + j))
+            cut = layout.truncate(p << layout.shift(i, j))
             assert layout.unpack_table(cut) == shifted
+            i = rng.randint(0, order + off + 1)
+            assert layout.unpack_table(layout.place(
+                [layout.cut_row(row << bits * i) for row in rows])) == {
+                (a + i, b): v for (a, b), v in table.items()
+                if a + i <= order}
+    with pytest.raises(AssertionError, match="row room"):
+        RowLayout(3, 8, 2, 5)
+
+
+def test_absent_cell_is_int_zero():
+    s = BiSeries(2, {(1, 1): Fraction(1, 2)})
+    assert s.coeff(0, 2) == 0
+    assert type(s.coeff(0, 2)) is int
