@@ -11,7 +11,6 @@ subcommands it is bound to z1.
 
 import argparse
 import json
-import logging
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,6 @@ from functools import lru_cache
 from .euler import (METHODS, GuardError, cross_check, euler_theorem,
                     evaluate, partition_function)
 from .fexpr import ParseError, parse, parse_parts, render, to_symfunc
-from .finite_inner import hl_inner_finite
 from .hall_littlewood import (b_norm, b_norm_finite, hl_P, hl_q_row,
                               jing_J, k_exponent, verify_lemma)
 from .partitions import partitions_of, partitions_up_to
@@ -27,8 +25,6 @@ from .ratfunc import RF0, RF1, RationalFunction1, rf_str
 from .symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc, convert,
                       hl_inner, to_p)
 from .xlaurent import add_terms
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +74,9 @@ def _coeff_str(value):
     text = _int_str(value.numerator)
     if value.denominator != 1:
         text += "/" + _int_str(value.denominator)
-        log.warning("non-integral coefficient %s encountered", text)
+        import logging
+        logging.getLogger(__name__).warning(
+            "non-integral coefficient %s encountered", text)
     return text
 
 
@@ -165,6 +163,7 @@ def verify_lemma_suite(max_size):
 
 
 def verify_orthogonality_suite(n, max_size):
+    from .finite_inner import hl_inner_finite
     one_minus_z = RationalFunction1((1, -1))
     for mu in partitions_up_to(max_size):
         if len(mu) > n:
@@ -263,6 +262,7 @@ def cmd_hl(args):
     if args.n is None:
         val = hl_inner(f, g)
     else:
+        from .finite_inner import hl_inner_finite
         val = hl_inner_finite(f, g, args.n)
     out.write(rf_str(val) + "\n")
     return 0

@@ -22,12 +22,12 @@ from functools import lru_cache
 from itertools import groupby
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import add
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
 from .ratfunc import rf_expand
-from .series import (BiSeries, PackedLayout, RowLayout, WedgeSeries,
-                     byte_width, check_width, den_series, expand, omega,
-                     unpack)
+from .series import (BiSeries, PackedLayout, WedgeSeries, byte_width,
+                     check_width, den_series, expand, omega, unpack)
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
@@ -234,11 +234,11 @@ def _omega_reach(char, order):
 
 
 def _localization_layout(lams, n, order, depth, bound):
-    """The `RowLayout` of `_localization_sums` for lams: rows down to depth,
+    """The `PackedLayout` of `_localization_sums` for lams: rows down to depth,
     the slot width of `_localization_bound`, rounded up to whole bytes,
     and room for the power sums' z1-shifts."""
-    return RowLayout(order, byte_width(_localization_bound(bound, lams, n)),
-                     depth, _localization_room(lams, n, order, depth))
+    return PackedLayout(order, byte_width(_localization_bound(bound, lams, n)),
+                        depth, _localization_room(lams, n, order, depth))
 
 
 def _localization_bound(bound, lams, n):
@@ -328,8 +328,8 @@ def _fixed_points(n, order, lams):
     need = _localization_layout(lams, n, order, depth, bound)
     if layout is None or need.bits > layout.bits or need.room > layout.room:
         if layout is not None:
-            need = RowLayout(order, max(need.bits, layout.bits), depth,
-                             max(need.room, layout.room))
+            need = PackedLayout(order, max(need.bits, layout.bits), depth,
+                                max(need.room, layout.room))
         layout, fixed = entry[3:] = need, _expanded_fixed_points(
             data, need, bound)
     return layout, fixed, bound
@@ -359,13 +359,21 @@ def euler_localization(f, n, order):
 # ---------------------------------------------------------------------------
 # evaluator 2: quiver constant-term formula
 
+def _kernel_layout(order, bits):
+    """The `PackedLayout` of the constant-term kernel at slot width bits:
+    no depth, and z2-rows of 2*order + 1 slots, so that a product of two
+    tables is one int multiply."""
+    return PackedLayout(order, bits, 0, 2 * order + 1)
+
+
 def _pair_kernel(order, bits):
     """Bilateral expansion in u = x_i/x_j of the ordered-pair factors
 
     (1-u)(1-1/u)(1-z1z2*u)(1-z1z2/u) / ((1-z1*u)(1-z1/u)(1-z2*u)(1-z2/u)),
 
     truncated at the window order: u-exponent m -> its nonzero coefficient,
-    one int of `PackedLayout(order, bits)`. bits must hold 2^4 (order + 1)^4.
+    one int of `_kernel_layout(order, bits)`. bits must hold
+    2^4 (order + 1)^4.
 
     The series is kept as its u-coefficients, and each factor is one
     recurrence over m whose every step is a shift and a truncate. Times
@@ -391,7 +399,7 @@ def _pair_kernel(order, bits):
     4 (1 + z1z2)^2 / ((1 - z1)^2 (1 - z2)^2), cut to the window.
     """
     check_width(bits, 16 * (order + 1) ** 4)
-    layout = PackedLayout(order, bits)
+    layout = _kernel_layout(order, bits)
     series = {0: 1}
     for a, b, sign in ((0, 0, -1), (1, 1, -1), (1, 0, 1), (0, 1, 1)):
         shift, reach = layout.shift(a, b), order if sign > 0 else 1
@@ -413,6 +421,7 @@ def _raise_cost(v):
     return sum(-x for x in v if x < 0)
 
 
+@lru_cache(maxsize=None)
 def _orbit_size(w):
     """Number of distinct permutations of the exponent vector w, sorted."""
     size = factorial(len(w))
@@ -447,7 +456,7 @@ def _row_end_caps(v, i, order, budget, top, mirror=False):
 
 def _majorants(order, stages):
     """The coefficients of S_1..S_stages, each a tuple indexed by
-    a*(2*order + 1) + b: S_1 = M = sum_m |K_m| coefficientwise over the
+    b*(2*order + 1) + a: S_1 = M = sum_m |K_m| coefficientwise over the
     order-`order` pair kernel K, which is 4 (1 + z1z2)^2 / ((1 - z1)^2
     (1 - z2)^2) cut to the window (see `_pair_kernel`), and
     S_k = trunc(S_(k-1)) M, the product itself not truncated. They are
@@ -457,8 +466,8 @@ def _majorants(order, stages):
                              for t in range(min(a, b, 2) + 1))
              for a in range(order + 1) for b in range(order + 1)}
     width = (sum(total.values()) ** stages).bit_length() + 1
-    layout = PackedLayout(order, width)
-    majorant = layout.pack(BiSeries(order, total))
+    layout = _kernel_layout(order, width)
+    majorant = sum(v << layout.shift(a, b) for (a, b), v in total.items())
     out, s = [], 1
     for _ in range(stages):
         s = layout.truncate(s) * majorant
@@ -483,7 +492,7 @@ def _kernel_build(n, order, slack, bits):
     its mirror (see `_delta_kernel`)."""
     check_width(bits, _kernel_bound(n, order))
     budget = order + slack
-    layout = PackedLayout(order, bits)
+    layout = _kernel_layout(order, bits)
     packed = _pair_kernel(order, bits)
     # the pair kernel cut to each cap: pair_cut[cap][m]
     pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
@@ -520,7 +529,17 @@ def _kernel_build(n, order, slack, bits):
                 p = layout.truncate(p, caps[w])
                 if p:
                     acc[w] = (p, caps[w])
-    return {w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}
+    return _Kernel(layout, ((w, p) for w, (p, _) in acc.items()))
+
+
+class _Kernel(dict):
+    """{w: entry} of a delta kernel, each entry one int of layout."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout, entries=()):
+        super().__init__(entries)
+        self.layout = layout
 
 
 #: (n, order, slack) -> kernel of every `_delta_kernel` build in this
@@ -532,7 +551,8 @@ _BUILDS = {}
 def _delta_kernel(n, order, slack):
     """Product of pair kernels over all unordered variable pairs, one entry
     per S_n orbit: a dict from sorted (descending) exponent vectors w with
-    raise cost at most order + slack to BiSeries of order cap(w).
+    raise cost at most order + slack to the entry at w cut to cap(w), one
+    int of the layout of the build it is read from, `kern.layout`.
 
     Symmetry: the pair kernel is invariant under u <-> 1/u, so the product
     is invariant under every permutation of x_1..x_n, and the entry at w is
@@ -598,11 +618,12 @@ def _delta_kernel(n, order, slack):
     it by truncation. The builds are kept in `_BUILDS`, which clearing this
     cache leaves as it is.
 
-    Packing: every series is one int of `PackedLayout(order, B)`, slot
-    (a, b) at bit B*(a*(2*order + 1) + b), so a pair term is one int
+    Packing: every series is one int of `_kernel_layout(order, B)`, slot
+    (a, b) at bit B*(b*(2*order + 1) + a), so a pair term is one int
     multiply, and `PackedLayout.truncate` cuts a sum of products to a
     window in three int operations, exact while every slot has absolute
-    value below 2^(B-1).
+    value below 2^(B-1). An entry stays in that layout, and so does each
+    entry that a covered kernel reads off it.
 
     Bit width: let M = sum_m |K_m|, coefficientwise, over the pair kernel
     K, and A_k the coefficientwise sum of |entry| over the entries after k
@@ -622,66 +643,75 @@ def _delta_kernel(n, order, slack):
     cover = min((key for key in _BUILDS if key[0] == n and key[1] >= order
                  and key[1] + key[2] >= budget), key=sum, default=None)
     if cover is not None:
-        kern = {}
-        for w, bs in _BUILDS[cover].items():
-            bs = BiSeries(min(order, budget - _raise_cost(w)), bs.c)
-            if bs:
-                kern[w] = bs
+        build = _BUILDS[cover]
+        kern = _Kernel(build.layout)
+        for w, p in build.items():
+            cap = min(order, budget - _raise_cost(w))
+            p = build.layout.truncate(p, cap) if cap >= 0 else 0
+            if p:
+                kern[w] = p
         return kern
     bits = _kernel_bound(n, order).bit_length() + 1
     kern = _BUILDS[(n, order, slack)] = _kernel_build(n, order, slack, bits)
     return kern
 
 
-def _pairing_bound(kern, n, slack):
+def _pairing_bound(kern, n, order, slack):
     """Bound on every slot of the packed sums of `_kernel_pairings` for
-    every p_lam of degree at most slack: n^slack sum_w orbit_size(w)
-    max|K_w|.
+    every p_lam of degree at most slack, and of the z2-rows that
+    Omega(n z1 + n z2) makes of them: n^slack sum_w orbit_size(w) K
+    C(order + n, n)^2, with K = `_kernel_bound(n, D)` of the build at
+    order D whose layout holds kern's entries. K bounds every slot of that
+    build, and of every entry cut from it.
 
-    A slot of sum_w K_w phi_w is a sum over w and k of [(z1z2)^k]phi_w
-    times one coefficient of K_w. The coefficients of phi_w are
-    orbit_size(w) times those of p_lam(x_1..x_n), which are nonnegative,
-    grouped by raise cost, so they sum to at most orbit_size(w) p_lam(1^n)
-    = orbit_size(w) n^len(lam) <= orbit_size(w) n^slack.
+    A slot of sum_w orbit_size(w) K_w phi_w, phi_w = sum_k c_k (z1z2)^k,
+    in the window or in the room of its row, is a sum over w and k of
+    orbit_size(w) c_k times at most one slot of K_w. The c_k are the
+    coefficients of p_lam(x_1..x_n), which are nonnegative, grouped by
+    raise cost, so they sum to at most p_lam(1^n) = n^len(lam) <= n^slack.
+    Omega(n z1 + n z2) = 1/((1 - z1)(1 - z2))^n then sums each slot's
+    copies along z2, then along z1, over at most C(order + n, n) slots
+    each, with coefficients that sum to C(order + n, n).
     """
-    return n ** slack * sum(_orbit_size(w) * max(map(abs, bs.c.values()))
-                            for w, bs in kern.items())
+    return (n ** slack * _kernel_bound(n, kern.layout.order)
+            * sum(map(_orbit_size, kern)) * comb(order + n, n) ** 2)
 
 
-def _weighted_kernel(kern, n, order, slack, bits):
-    """[(w, orbit_size(w) K_w)], each entry one int of
-    `PackedLayout(order, bits)`, at slot width bits, which must hold
-    `_pairing_bound(kern, n, slack)`."""
-    check_width(bits, _pairing_bound(kern, n, slack))
-    layout = PackedLayout(order, bits)
-    return [(w, _orbit_size(w) * layout.pack(bs)) for w, bs in kern.items()]
+def _kernel_pairings(kern, lams, n, layout):
+    """lam -> the z2-rows, cut to the window of layout, of the sum over the
+    kernel's orbit representatives w of orbit_size(w) K_w phi_w,
+    phi_w = sum_t [x^t]p_lam (z1z2)^raise_cost(w + t), with kern a
+    `_delta_kernel` for a slack of at least every degree in lams. layout
+    has the room of kern's entries and a slot width that holds
+    `_pairing_bound`.
 
-
-def _kernel_pairings(weighted, lams, n, order, bits):
-    """lam -> BiSeries of order `order` of sum over the kernel's orbit
-    representatives w of orbit_size(w) K_w phi_w, phi_w = sum_t [x^t]p_lam
-    (z1z2)^raise_cost(w + t), with weighted the `_weighted_kernel` at slot
-    width bits for a slack of at least every degree in lams.
-
-    Each phi_w is one int of `PackedLayout(order, bits)`, with (z1z2)^k a
-    shift by bits*k*(2*order + 2); terms of phi_w of degree k > order leave
-    the window and are dropped. The products, whose slots stay within
-    2*order, are summed and unpacked once per lam.
+    Each entry is widened once to that slot width and weighted by its orbit
+    size. phi_w = sum_k c_k (z1z2)^k multiplies it as shift-adds, (z1z2)^k a
+    shift by `layout.shift(k, k)`; the terms of degree k > order leave the
+    window and are dropped, and those below keep every slot within its
+    row, as a <= order and k <= order. Each sum is cut once into its
+    z2-rows.
     """
-    layout = PackedLayout(order, bits)
+    order = layout.order
+    check_width(layout.bits,
+                _pairing_bound(kern, n, order, max(map(sum, lams))))
+    assert layout.room == kern.layout.room, "the kernel's rows do not fit"
+    weighted = [(w, _orbit_size(w) * kern.layout.widen(p, layout.bits))
+                for w, p in kern.items()]
     diag = layout.shift(1, 1)
     out = {}
     for lam in lams:
         monomials = p_in_x(lam, n, 1).c.items()
         total = 0
         for w, p in weighted:
-            phi = 0
+            phi = {}
             for t, c in monomials:
-                k = _raise_cost([a + b for a, b in zip(w, t)])
+                k = _raise_cost(map(add, w, t))
                 if k <= order:
-                    phi += c << diag * k
-            total += p * phi
-        out[lam] = layout.unpack(total, order)
+                    phi[k] = phi.get(k, 0) + c
+            for k, c in phi.items():
+                total += (p * c) << diag * k
+        out[lam] = layout.rows(total)
     return out
 
 
@@ -700,9 +730,12 @@ def euler_constant_term(f, n, order, force=False):
     the orthant sum over every exponent vector u of the kernel,
     sum_u K[u] phi(u) with phi(u) = sum_t [x^t]p_lam (z1z2)^raise_cost(u+t),
     is the sum over orbit representatives w of orbit_size(w) K[w] phi(w),
-    which `_kernel_pairings` takes on packed ints. Each table is paired
-    once per (n, order) and kept by `_basis_tables`: a call pairs only the
-    p_lam not kept yet, against the kernel of the largest slack they need.
+    which `_kernel_pairings` takes on the packed entries and cuts into
+    z2-rows, in the layout of the kernel's rows at a slot width that
+    `_pairing_bound` proves wide enough for `omega` and `expand` too. Each
+    table is paired once per (n, order) and kept by `_basis_tables`: a call
+    pairs only the p_lam not kept yet, against the kernel of the largest
+    slack they need.
     """
     check_guards("constant-term", n, order, force)
     fp = to_p(f)
@@ -710,23 +743,13 @@ def euler_constant_term(f, n, order, force=False):
     def build(lams):
         slack = max(map(sum, lams))
         kern = _delta_kernel(n, order, slack)
-        bound = _pairing_bound(kern, n, slack)
-        bits = bound.bit_length() + 1
-        weighted = _weighted_kernel(kern, n, order, slack, bits)
-        # Omega(n z1 + n z2) sums each slot's copies along z2, then along
-        # z1, over at most C(order + n, n) slots each
-        bound *= comb(order + n, n) ** 2
-        layout = RowLayout(order, byte_width(bound))
+        layout = PackedLayout(order, byte_width(_pairing_bound(
+            kern, n, order, slack)), 0, kern.layout.room)
         prefactor = XLaurent(2, {(1, 0): n, (0, 1): n})
-        tables = {}
-        for lam, bs in _kernel_pairings(weighted, lams, n, order,
-                                        bits).items():
-            rows = [0] * (order + 1)
-            for (a, b), v in bs.c.items():
-                rows[b] += v << layout.bits * a
-            tables[lam] = layout.unpack_table(layout.place(expand(
-                *omega(prefactor, rows, (), layout), layout)))
-        return tables
+        return {lam: layout.unpack_table(layout.place(expand(
+                    *omega(prefactor, rows, (), layout), layout)))
+                for lam, rows in _kernel_pairings(kern, lams, n,
+                                                  layout).items()}
 
     return EulerResult(_apply_coefficients(
         _basis_tables("constant-term", n, order, fp.c, build), fp.c, order,
@@ -809,7 +832,7 @@ def euler_theorem(f, n, order):
         # 1/den is nonnegative and nondecreasing, so a slot of a numerator
         # times it is at most the numerator at z1 = 1 times its top slot
         den = tuple(range(1, n + 1))
-        layout = RowLayout(order, byte_width(_theorem_bound(
+        layout = PackedLayout(order, byte_width(_theorem_bound(
             rhos, n, order) * den_series(den, order + 1)[-1]))
         return {rho: layout.unpack_table(layout.place(expand(
                     [by_m[m] for m in range(order + 1)], den, layout)))

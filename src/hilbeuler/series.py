@@ -6,10 +6,10 @@ int.
 The truncation is a per-variable degree cap: only exponents (a, b) with
 0 <= a, b <= order are stored, and arithmetic closes over that window.
 
-`PackedLayout` packs an integer series of the window into one Python int
-(Kronecker substitution), so a product is one big-int multiply, and
-`RowLayout` packs the z2-rows of a Laurent table in z1 side by side, so a
-product by a monomial is one shift. A univariate polynomial with
+`PackedLayout` packs the z2-rows of an integer Laurent table in z1 side by
+side into one Python int (Kronecker substitution), so a product by a
+monomial is one shift and, with room for it in each row, a product of
+tables is one big-int multiply. A univariate polynomial with
 nonnegative integer coefficients is packed the same way as its value at
 z = 2^bits; `unpack` reads its coefficients back, and `check_width` asserts
 that a slot width holds a bound. `omega` and `expand` build the wedge
@@ -169,104 +169,35 @@ def _tile(row, step, count):
 
 
 class PackedLayout:
-    """Integer series of the window 0 <= a, b <= order, each packed into one
-    Python int (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
-    2009).
-
-    Slot (a, b) holds a signed integer at bit B*(a*(2*order + 1) + b), so a
-    packed series is its value at z2 = 2^B, z1 = 2^(B*(2*order + 1)), and
-    sums and products are int + and *. A row is 2*order + 1 slots wide, so
-    the product of two packed series, whose slots fill 0 <= b <= 2*order,
-    never carries one row into the next. Every slot, of a packed series, of
-    a product and of a sum of products, must lie in (-2^(B-1), 2^(B-1));
-    `check_width(B, bound)` asserts a bound on them.
-
-    `truncate(p, cap)` cuts p to the window 0 <= a, b <= cap in three int
-    operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts 2^(B-1) in every
-    slot of the rows a <= cap, which makes each of them a digit in
-    [0, 2^B), so no borrow crosses a slot and the rows above cannot reach
-    the bits below them; KEEP masks the digits of the window and KEEP_BIAS
-    takes their bias back off. The masks of each cap are built once.
-    """
-
-    __slots__ = ("order", "bits", "stride", "_masks")
-
-    def __init__(self, order, bits):
-        self.order = order
-        self.bits = bits
-        self.stride = 2 * order + 1
-        self._masks = {}
-
-    def shift(self, a, b):
-        """The left shift that multiplies a packed series by z1^a z2^b."""
-        return self.bits * (a * self.stride + b)
-
-    def _mask(self, cap):
-        """(BIAS, KEEP, KEEP_BIAS) of the window 0 <= a, b <= cap."""
-        m = self._masks.get(cap)
-        if m is None:
-            half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
-            cols = [self.shift(0, b) for b in range(self.stride)]
-            row_bias = sum(half << at for at in cols)
-            row_keep = sum(digit << at for at in cols[:cap + 1])
-            row_half = sum(half << at for at in cols[:cap + 1])
-            m = self._masks[cap] = tuple(
-                _tile(row, self.shift(1, 0), cap + 1)
-                for row in (row_bias, row_keep, row_half))
-        return m
-
-    def pack(self, series):
-        """The int of an integer BiSeries of order at most this layout's."""
-        return sum(v << self.shift(a, b) for (a, b), v in series.c.items())
-
-    def truncate(self, p, cap=None):
-        """The packed series or product p with every slot beyond the window
-        0 <= a, b <= cap (default: order) cut."""
-        bias, keep, keep_bias = self._mask(self.order if cap is None else cap)
-        return ((p + bias) & keep) - keep_bias
-
-    def unpack(self, p, cap):
-        """BiSeries of order cap <= order of the slots 0 <= a, b <= cap of
-        p, a packed series or an untruncated product. Each row is cut to
-        its cap + 1 slots before they are read, so a slot read shifts a
-        row-sized int, not the whole product."""
-        q = p + self._mask(cap)[0]
-        half, digit = 1 << (self.bits - 1), (1 << self.bits) - 1
-        row_keep = (1 << self.bits * (cap + 1)) - 1
-        coeffs = {}
-        for a in range(cap + 1):
-            row = (q >> self.shift(a, 0)) & row_keep
-            for b in range(cap + 1):
-                v = ((row >> self.bits * b) & digit) - half
-                if v:
-                    coeffs[(a, b)] = v
-        return BiSeries(cap, coeffs)
-
-
-class RowLayout:
     """Integer Laurent tables in z1 of the window -off <= a <= order,
-    0 <= b <= order, packed z2-major into one Python int: slot (a, b) at bit
+    0 <= b <= order, each packed z2-major into one Python int (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009): slot (a, b) at bit
     B*(b*room + a + off), room >= order + off + 1 slots per z2-row.
 
     A z2-row alone is one int with the coefficient of z1^a at bit
-    B*(a + off), so times z1^s it is a shift by B*s, and `place` puts the
-    rows side by side. A table times z1^s z2^t is a shift by `shift(s, t)`;
-    the slots of a row above a = order are room for such copies, whose
-    slots past the window stay within the row while
-    s <= room - order - off - 1. Every slot, of a table, of its shifted
-    copies and of their sums, must lie in (-2^(B-1), 2^(B-1));
+    B*(a + off), so times z1^s it is a shift by B*s; `place` puts the rows
+    side by side and `rows` takes them apart. A table times z1^s z2^t is a
+    shift by `shift(s, t)`; the slots of a row above a = order are room for
+    such copies, whose slots past the window stay within the row while
+    s <= room - order - off - 1. With off = 0 and room = 2*order + 1 the
+    product of two tables, whose slots fill 0 <= a <= 2*order, never
+    carries one row into the next, so sums and products of tables are
+    int + and *. Every slot, of a table, of its shifted copies, of a
+    product and of their sums, must lie in (-2^(B-1), 2^(B-1));
     `check_width(B, bound)` asserts a bound on them.
 
-    `truncate` cuts a table to the window and `cut_row` cuts a z2-row to
-    its slots a <= order, each in three int operations as
-    `PackedLayout.truncate` does: the bias goes into every slot of a row,
-    the room included, so a negative slot past the window borrows from no
-    slot of the next row. `unpack_table` needs byte-aligned slots (B a
-    multiple of 8): it cuts the biased digits into rows through
-    `int.to_bytes`, so each slot read shifts a row-sized int.
+    `truncate(p, cap)` cuts p to the window -off <= a <= cap, 0 <= b <= cap
+    in three int operations, ((p + BIAS) & KEEP) - KEEP_BIAS: BIAS puts
+    2^(B-1) in every slot of the rows b <= cap, the room included, which
+    makes each of them a digit in [0, 2^B), so no borrow crosses a slot and
+    the rows above cannot reach the bits below them; KEEP masks the digits
+    of the window and KEEP_BIAS takes their bias back off. The masks of
+    each cap are built once. `cut_row` cuts a z2-row, or a product of rows,
+    to its slots a <= order the same way. `widen` re-slots a table to a
+    wider slot width, and `unpack_table` reads it.
     """
 
-    __slots__ = ("order", "bits", "off", "room", "_row", "_window", "_neg")
+    __slots__ = ("order", "bits", "off", "room", "_row", "_neg", "_masks")
 
     def __init__(self, order, bits, off=0, room=None):
         width = order + off + 1
@@ -275,43 +206,98 @@ class RowLayout:
         assert self.room >= width, "row room %d below the window's %d slots" \
             % (self.room, width)
         half, digit = 1 << (bits - 1), (1 << bits) - 1
-        row_half = _tile(half, bits, width)
-        self._row = (row_half, (1 << bits * width) - 1)
-        step, rows = bits * self.room, order + 1
-        self._window = tuple(_tile(row, step, rows) for row in (
-            _tile(half, bits, self.room), self._row[1], row_half))
-        self._neg = tuple(_tile(_tile(v, bits, off), step, rows)
-                          for v in (digit, half))
+        self._row = (_tile(half, bits, width), (1 << bits * width) - 1)
+        self._neg = tuple(_tile(_tile(v, bits, off), bits * self.room,
+                                order + 1) for v in (digit, half))
+        self._masks = {}
 
     def shift(self, a, b):
         """The left shift that multiplies a packed table by z1^a z2^b."""
         return self.bits * (b * self.room + a)
+
+    def _mask(self, cap):
+        """(BIAS, KEEP, KEEP_BIAS) of the window at cap."""
+        m = self._masks.get(cap)
+        if m is None:
+            half, width = 1 << (self.bits - 1), cap + self.off + 1
+            m = self._masks[cap] = tuple(
+                _tile(row, self.bits * self.room, cap + 1) for row in (
+                    _tile(half, self.bits, self.room),
+                    (1 << self.bits * width) - 1,
+                    _tile(half, self.bits, width)))
+        return m
 
     def place(self, rows):
         """The int of the table whose z2-row b is the int rows[b]."""
         step = self.bits * self.room
         return sum(row << step * b for b, row in enumerate(rows))
 
+    def rows(self, p):
+        """The z2-rows b <= order of p, a packed table or a sum of its
+        shifted copies and products, each cut to its slots a <= order."""
+        q, step = p + self._mask(self.order)[0], self.bits * self.room
+        half, keep = self._row
+        return [((q >> step * b) & keep) - half
+                for b in range(self.order + 1)]
+
     def cut_row(self, row):
         """The z2-row row, or a product of rows, cut to its slots a <= order."""
         bias, keep = self._row
         return ((row + bias) & keep) - bias
 
-    def truncate(self, p):
-        """The packed table p, or a sum of its shifted copies, cut to the
-        window."""
-        bias, keep, keep_bias = self._window
+    def truncate(self, p, cap=None):
+        """The packed table p, or a sum of its shifted copies and products,
+        with every slot beyond the window at cap (default: order) cut."""
+        bias, keep, keep_bias = self._mask(self.order if cap is None else cap)
         return ((p + bias) & keep) - keep_bias
+
+    def widen(self, p, bits):
+        """The rows b <= order of the table p at the slot width bits >= B,
+        in the layout of the same window and room.
+
+        The biased digits of the rows are spread in log-depth rounds: a
+        block of 2h slots, h a power of two, keeps its lower h slots and
+        moves its upper h up by h*(bits - B), one mask and one shift for all
+        blocks at once, so the blocks of h slots then lie h*bits apart;
+        after the last round every slot lies bits apart, and the bias comes
+        back off at the new width."""
+        assert bits >= self.bits, "slot width %d below the layout's %d" \
+            % (bits, self.bits)
+        count = (self.order + 1) * self.room
+        q = (p + self._mask(self.order)[0]) & ((1 << self.bits * count) - 1)
+        rounds, bias = self._spread(bits)
+        for low, move in rounds:
+            part = q & low
+            q = part | ((q ^ part) << move)
+        return q - bias
+
+    def _spread(self, bits):
+        """([(LOW, move)] of the rounds of `widen` to bits, its bias at
+        bits)."""
+        spread = self._masks.get(("widen", bits))
+        if spread is None:
+            count = (self.order + 1) * self.room
+            half, rounds = 1 << (count - 1).bit_length(), []
+            while half > 1:
+                half //= 2
+                rounds.append((_tile((1 << self.bits * half) - 1,
+                                     2 * half * bits, -(-count // (2 * half))),
+                               half * (bits - self.bits)))
+            spread = self._masks[("widen", bits)] = (
+                rounds, _tile(1 << (self.bits - 1), bits, count))
+        return spread
 
     def unpack_table(self, p):
         """The nonzero slots {(a, b): int} of p, a packed table of the
         window: the biased digits are turned into one byte string, and each
-        row's slots into one int. The slots a < 0 are read only when one of
-        them is not zero, which one mask test tells."""
+        row's slots into one int, so each slot read shifts a row-sized int.
+        It needs byte-aligned slots (B a multiple of 8). The slots a < 0 are
+        read only when one of them is not zero, which one mask test
+        tells."""
         assert self.bits % 8 == 0, "unpack_table needs byte-aligned slots"
         width, half = self.bits // 8, 1 << (self.bits - 1)
         digit = (1 << self.bits) - 1
-        q = p + self._window[2]
+        q = p + self._mask(self.order)[2]
         neg_keep, neg_half = self._neg
         first = self.off if q & neg_keep == neg_half else 0
         last = self.off + self.order + 1
@@ -333,7 +319,7 @@ class RowLayout:
 # Every denominator a wedge factor creates is a product of (1 - z1^k), so a
 # series is kept as integer Laurent polynomials in z1, one per z2-degree b,
 # over one such product. Each polynomial is one int, a z2-row of a
-# `RowLayout`: the coefficient of z1^e sits at slot e + off, so times z1^p
+# `PackedLayout`: the coefficient of z1^e sits at slot e + off, so times z1^p
 # is a shift. `omega` updates the rows by shift-adds and extends the
 # denominator, and `expand` multiplies each row once by the packed power
 # series of 1/den. No polynomial gcd is taken.
@@ -378,7 +364,7 @@ def omega(char, rows, den, layout):
     plethystic exponential of a virtual character, an XLaurent(2, ...) of
     weight multiplicities, and return the product as (rows, den).
 
-    rows holds the layout.order + 1 z2-rows of `layout`, a `RowLayout`,
+    rows holds the layout.order + 1 z2-rows of `layout`, a `PackedLayout`,
     and is not changed. Omega(char) is the product over monomials
     m = z1^p z2^q of multiplicity c of (1 - m)^(-c). A large monomial (q < 0, or q = 0 > p) is made small:
     (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)), so the series is shifted by

@@ -16,10 +16,11 @@ one pair kernel per target.
 
 from functools import lru_cache
 
-from hilbeuler.euler import (_kernel_bound, _pair_kernel, _raise_cost,
-                             _row_end_caps)
-from hilbeuler.series import BiSeries, PackedLayout, check_width
+from hilbeuler.euler import (_kernel_bound, _kernel_layout, _pair_kernel,
+                             _raise_cost, _row_end_caps)
+from hilbeuler.series import check_width
 from hilbeuler.xlaurent import XLaurent
+from packed_tables import pack_table, read_series
 
 
 @lru_cache(maxsize=None)
@@ -27,8 +28,8 @@ def pair_kernel(order):
     """`euler._pair_kernel` at the width of its own bound, as an XLaurent in
     u with BiSeries coefficients."""
     bits = (16 * (order + 1) ** 4).bit_length() + 1
-    layout = PackedLayout(order, bits)
-    return XLaurent(1, {(m,): layout.unpack(p, order)
+    layout = _kernel_layout(order, bits)
+    return XLaurent(1, {(m,): read_series(p, layout, order)
                         for m, p in _pair_kernel(order, bits).items()})
 
 
@@ -37,11 +38,11 @@ def pair_kernel_by_products(order):
     factor truncated at the window order, every partial product truncated
     to the window, each coefficient unpacked once."""
     bound = 16 * (order + 1) ** 4
-    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout = _kernel_layout(order, bound.bit_length() + 1)
     check_width(layout.bits, bound)
 
     def term(a, b):
-        return layout.pack(BiSeries.monomial(order, a, b))
+        return pack_table(layout, {(a, b): 1})
 
     factors = [{(0,): 1, (u,): -term(a, a)} for a in (0, 1) for u in (1, -1)]
     factors += [{(u * k,): term(a * k, b * k) for k in range(order + 1)}
@@ -49,7 +50,7 @@ def pair_kernel_by_products(order):
     acc = XLaurent.const(1, 1)
     for fac in factors:
         acc = (acc * XLaurent(1, fac)).map_coeffs(layout.truncate)
-    return acc.map_coeffs(lambda p: layout.unpack(p, order))
+    return acc.map_coeffs(lambda p: read_series(p, layout, order))
 
 
 def reach(w, i, order, budget):
@@ -98,8 +99,9 @@ def kernel_stages(n, order, slack, row_end=caps_by_reach, observe=None):
     partial sum and entry p of the k-th pair, k = 1, 2, ...
     """
     budget = order + slack
-    layout = PackedLayout(order, l1_width(n, order))
-    packed = {m: layout.pack(bs) for (m,), bs in pair_kernel(order).c.items()}
+    layout = _kernel_layout(order, l1_width(n, order))
+    packed = {m: pack_table(layout, bs.c)
+              for (m,), bs in pair_kernel(order).c.items()}
     top = max(packed)
     acc = {(0,) * n: (1, order)}
     stages = [acc]
@@ -141,7 +143,7 @@ def kernel_build_unmirrored(n, order, slack, bits):
     pair is multiplied by K_m alone, and its mirror is a state of its own."""
     check_width(bits, _kernel_bound(n, order))
     budget = order + slack
-    layout = PackedLayout(order, bits)
+    layout = _kernel_layout(order, bits)
     packed = _pair_kernel(order, bits)
     # the pair kernel cut to each cap: pair_cut[cap][m]
     pair_cut = [{m: layout.truncate(p, cap) for m, p in packed.items()}
@@ -173,4 +175,4 @@ def kernel_build_unmirrored(n, order, slack, bits):
                 p = layout.truncate(p, caps[w])
                 if p:
                     acc[w] = (p, caps[w])
-    return {w: layout.unpack(p, cap) for w, (p, cap) in acc.items()}
+    return {w: read_series(p, layout, cap) for w, (p, cap) in acc.items()}

@@ -436,6 +436,40 @@ def test_python_dash_m_hilbeuler_prints_what_main_prints(capsys):
     assert code == 2 and not out
 
 
+def _fresh_python(code):
+    """(stdout, stderr) of code run in a fresh interpreter on this package."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hilbeuler.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout, proc.stderr
+
+
+def test_a_non_integral_coefficient_is_printed_and_warned_once():
+    # logging is imported only on this path, which no table of integral
+    # coefficients takes
+    assert _fresh_python(
+        "from fractions import Fraction\n"
+        "from hilbeuler.cli import _coeff_str\n"
+        "print(_coeff_str(Fraction(1, 2)))\n") == (
+        "1/2\n", "non-integral coefficient 1/2 encountered\n")
+
+
+def test_imports_load_only_what_the_command_needs():
+    # the package imports no submodule, and the cli neither logging nor
+    # finite_inner, which only a non-integral warning, `verify
+    # orthogonality` and `hl inner --n` use
+    out, _ = _fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hilbeuler\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hilbeuler.')))\n"
+        "import hilbeuler.cli\n"
+        "print(sorted({'logging', 'hilbeuler.finite_inner'}\n"
+        "             & set(sys.modules) - before))\n")
+    assert out == "[]\n[]\n"
+
+
 def test_symfunc_str():
     assert symfunc_str(convert(hl_P((2,)), "m")) == "m[2] + (1-z)*m[1,1]"
     assert symfunc_str(SymFunc.one()) == "1"

@@ -16,13 +16,13 @@ from delta_kernel_by_reach import pair_kernel, reach as _reach
 from hilbeuler.euler import (METHODS, GuardError, WedgeSeries,
                              _apply_coefficients, _delta_kernel,
                              _expanded_fixed_points, _holomorphic_part,
-                             _kernel_bound, _kernel_build, _kernel_pairings,
-                             _localization_bound, _localization_layout,
-                             _localization_sums, _majorants, _omega_reach,
-                             _orbit_size, _pair_kernel, _pairing_bound,
-                             _raise_cost, _row_end_caps, _theorem_bound,
-                             _theorem_numerators, _weighted_kernel,
-                             cross_check,
+                             _kernel_bound, _kernel_build, _kernel_layout,
+                             _kernel_pairings, _localization_bound,
+                             _localization_layout, _localization_sums,
+                             _majorants, _omega_reach, _orbit_size,
+                             _pair_kernel, _pairing_bound, _raise_cost,
+                             _row_end_caps, _theorem_bound,
+                             _theorem_numerators, cross_check,
                              euler_constant_term, euler_localization,
                              euler_theorem, evaluate, expand,
                              fixed_point_data, omega, partition_function)
@@ -33,11 +33,12 @@ from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
                                rf_expand)
-from hilbeuler.series import (BiSeries, PackedLayout, RowLayout, byte_width,
+from hilbeuler.series import (BiSeries, PackedLayout, byte_width,
                               check_width, unpack)
 from hilbeuler.symfunc import (SymFunc, convert, multiply, p_in_x,
                                schur_positive, to_p)
 from hilbeuler.xlaurent import XLaurent, add_terms
+from packed_tables import pack_table, read_series, read_table
 
 GEO = RF1 / RationalFunction1((1, -1))
 ONE = SymFunc.one()
@@ -57,7 +58,7 @@ def packed_expansion(char, order, off=0, bits=64, rows=None, den=()):
     """The Laurent table {(a, b): int}, a <= order, of Omega(char) times
     sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k), default 1, by the
     packed `omega` and `expand` on z2-rows of depth off."""
-    layout = RowLayout(order, bits, off)
+    layout = PackedLayout(order, bits, off)
     if rows is None:
         rows = [1 << bits * off] + [0] * order
     return layout.unpack_table(layout.place(expand(
@@ -163,13 +164,13 @@ def test_omega_depth_one_short_and_width_one_bit_short_are_refused():
         data, depth, bound = fixed_point_reach(partitions_of(n), D)
         assert depth == (n - 1) * D
         bits = bound.bit_length() + 1
-        _expanded_fixed_points(data, RowLayout(D, byte_width(bound), depth),
+        _expanded_fixed_points(data, PackedLayout(D, byte_width(bound), depth),
                                bound)
         with pytest.raises(AssertionError, match="below the depth"):
             _expanded_fixed_points(
-                data, RowLayout(D, byte_width(bound), depth - 1), bound)
+                data, PackedLayout(D, byte_width(bound), depth - 1), bound)
         with pytest.raises(AssertionError, match="slot width"):
-            _expanded_fixed_points(data, RowLayout(D, bits - 1, depth),
+            _expanded_fixed_points(data, PackedLayout(D, bits - 1, depth),
                                    bound)
 
 
@@ -308,7 +309,7 @@ def test_wedge_series_laurent_arithmetic():
     want = {(0, 2): 1, (2, 2): 1, (1, 3): 1, (3, 3): 1}
     assert by_wedges.expand(ab, 3) == want
     # the packed expansion of the same rows
-    layout = RowLayout(D, 8)
+    layout = PackedLayout(D, 8)
     assert layout.unpack_table(layout.place(expand(
         [0, 0, 1, 1 << 8], (2,), layout))) == want
     # numerators cancel without normalisation and zeros are dropped
@@ -567,12 +568,12 @@ def test_localization_width_one_bit_short_of_the_bound_is_refused():
         _localization_sums(fixed, lams, n, layout, bound)
         bits = _localization_bound(bound, lams, n).bit_length() + 1
         with pytest.raises(AssertionError, match="slot width"):
-            _localization_sums(fixed, lams, n, RowLayout(
+            _localization_sums(fixed, lams, n, PackedLayout(
                 D, bits - 1, depth, layout.room), bound)
         # and the row room one slot short of the power sums' shifts
         if any(len(lam) for lam in lams):
             with pytest.raises(AssertionError, match="row room"):
-                _localization_sums(fixed, lams, n, RowLayout(
+                _localization_sums(fixed, lams, n, PackedLayout(
                     D, layout.bits, depth, layout.room - 1), bound)
 
 
@@ -699,16 +700,27 @@ def test_delta_kernel_orbits_equal_full_product_oracle():
     for n, D, slack in cases:
         want = delta_kernel_by_full_products(n, D, slack).c
         unfolded = {}
-        for w, bs in _delta_kernel(n, D, slack).items():
+        for w, table in kernel_tables(_delta_kernel(n, D, slack)).items():
             assert list(w) == sorted(w, reverse=True), (n, D, slack, w)
-            assert bs
+            assert table
             for u in permutations(w):
-                unfolded[u] = bs
+                unfolded[u] = table
         assert set(unfolded) <= set(want), (n, D, slack)
         for u, full in want.items():
             cap = min(D, D + slack - _raise_cost(u))
-            assert (unfolded.get(u, BiSeries(cap))
-                    == BiSeries(cap, full.c)), (n, D, slack, u)
+            assert (unfolded.get(u, {})
+                    == BiSeries(cap, full.c).c), (n, D, slack, u)
+
+
+def kernel_tables(kern):
+    """{w: {(a, b): int}} of a packed delta kernel, each entry read slot by
+    slot in the layout of the kernel's build."""
+    return {w: read_table(p, kern.layout) for w, p in kern.items()}
+
+
+def series_tables(kern):
+    """{w: {(a, b): int}} of an oracle's kernel of BiSeries."""
+    return {w: bs.c for w, bs in kern.items()}
 
 
 def delta_kernel_unpruned(n, order, slack):
@@ -720,9 +732,9 @@ def delta_kernel_unpruned(n, order, slack):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
-    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout = _kernel_layout(order, bound.bit_length() + 1)
     check_width(layout.bits, bound)
-    packed = [(m, layout.pack(bs)) for (m,), bs in pair.items()]
+    packed = [(m, pack_table(layout, bs.c)) for (m,), bs in pair.items()]
     acc = {(0,) * n: 1}
     for i, j in pairs:
         last = (i, j) == pairs[-1]
@@ -740,7 +752,7 @@ def delta_kernel_unpruned(n, order, slack):
         acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
     kern = {}
     for w, p in acc.items():
-        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
+        bs = read_series(p, layout, min(order, budget - _raise_cost(w)))
         if bs:
             kern[w] = bs
     return kern
@@ -751,11 +763,10 @@ def test_pruned_delta_kernel_equals_unpruned_oracle():
              for slack in range(4)] + [(3, 7, 2), (3, 9, 3)]
     for n, D, slack in cases:
         want = delta_kernel_unpruned(n, D, slack)
-        got = _delta_kernel(n, D, slack)
+        got = kernel_tables(_delta_kernel(n, D, slack))
         assert set(got) == set(want), (n, D, slack)
         for w, bs in want.items():
-            assert (got[w].order, got[w].c) == (bs.order, bs.c), \
-                (n, D, slack, w)
+            assert got[w] == bs.c, (n, D, slack, w)
 
 
 def test_row_end_pruning_keeps_every_sorted_vector_within_budget():
@@ -810,9 +821,9 @@ def delta_kernel_uncut(n, order, slack):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bound = sum(sum(map(abs, bs.c.values())) for bs in pair.values())
     bound **= len(pairs)
-    layout = PackedLayout(order, bound.bit_length() + 1)
+    layout = _kernel_layout(order, bound.bit_length() + 1)
     check_width(layout.bits, bound)
-    packed = {m: layout.pack(bs) for (m,), bs in pair.items()}
+    packed = {m: pack_table(layout, bs.c) for (m,), bs in pair.items()}
     top = max(packed)
     acc = {(0,) * n: 1}
     for i, j in pairs:
@@ -838,7 +849,7 @@ def delta_kernel_uncut(n, order, slack):
         acc = add_terms({}, ((w, layout.truncate(p)) for w, p in out.items()))
     kern = {}
     for w, p in acc.items():
-        bs = layout.unpack(p, min(order, budget - _raise_cost(w)))
+        bs = read_series(p, layout, min(order, budget - _raise_cost(w)))
         if bs:
             kern[w] = bs
     return kern
@@ -857,7 +868,7 @@ def fresh_kernel(n, order, slack):
 
 def unfold(kern):
     """Every vector of every orbit of a per-orbit kernel."""
-    return {u: bs for w, bs in kern.items() for u in permutations(w)}
+    return {u: table for w, table in kern.items() for u in permutations(w)}
 
 
 def test_cut_delta_kernel_equals_uncut_and_both_oracles():
@@ -869,19 +880,21 @@ def test_cut_delta_kernel_equals_uncut_and_both_oracles():
              for slack in range(4)]
     cases += [(4, D, slack) for D in range(6) for slack in range(4)]
     for n, D, slack in cases:
-        got = fresh_kernel(n, D, slack)
+        got = kernel_tables(fresh_kernel(n, D, slack))
         assert set(euler._BUILDS) == {(n, D, slack)}
-        assert got == delta_kernel_uncut(n, D, slack), (n, D, slack)
+        assert got == series_tables(delta_kernel_uncut(n, D, slack)), \
+            (n, D, slack)
         if n < 4 or D < 4 or slack == 3:
-            assert got == delta_kernel_unpruned(n, D, slack), (n, D, slack)
+            assert got == series_tables(delta_kernel_unpruned(n, D, slack)), \
+                (n, D, slack)
         if n < 4 or D < 4:
             full = delta_kernel_by_full_products(n, D, slack).c
             unfolded = unfold(got)
             assert set(unfolded) <= set(full), (n, D, slack)
             for u, bs in full.items():
                 cap = min(D, D + slack - _raise_cost(u))
-                assert (unfolded.get(u, BiSeries(cap))
-                        == BiSeries(cap, bs.c)), (n, D, slack, u)
+                assert (unfolded.get(u, {})
+                        == BiSeries(cap, bs.c).c), (n, D, slack, u)
     clear_kernels()
 
 
@@ -889,7 +902,7 @@ def test_kernels_served_from_a_covering_build_equal_fresh_builds():
     for n, D, slack in ((2, 7, 3), (3, 7, 3), (4, 4, 3)):
         covered = [(d, s) for d in range(D + 1) for s in range(4)
                    if d + s <= D + slack]
-        want = {key: fresh_kernel(n, *key) for key in covered}
+        want = {key: kernel_tables(fresh_kernel(n, *key)) for key in covered}
         rng = random.Random(n)
         shuffled = rng.sample(covered, len(covered))
         orders = [[(D, slack)] + covered[:-1], covered[::-1], covered,
@@ -897,7 +910,8 @@ def test_kernels_served_from_a_covering_build_equal_fresh_builds():
         for order in orders:
             clear_kernels()
             for key in order:
-                assert _delta_kernel(n, *key) == want[key], (n, key, order)
+                assert (kernel_tables(_delta_kernel(n, *key))
+                        == want[key]), (n, key, order)
             # only keys no earlier build covers are built
             builds = [key for key in order
                       if not any(d >= key[0] and d + s >= sum(key)
@@ -907,7 +921,8 @@ def test_kernels_served_from_a_covering_build_equal_fresh_builds():
         _delta_kernel(n, D, slack)
         assert len(euler._BUILDS) == 1
         for key in covered:
-            assert _delta_kernel(n, *key) == want[key], (n, key)
+            assert kernel_tables(_delta_kernel(n, *key)) == want[key], \
+                (n, key)
         assert len(euler._BUILDS) == 1
     clear_kernels()
 
@@ -921,8 +936,8 @@ def test_pair_kernel_recurrences_equal_eight_factor_products():
         assert pair_kernel(order) == want, order
         # any width that holds the bound gives the same coefficients
         bits = (16 * (order + 1) ** 4).bit_length() + 8
-        layout = PackedLayout(order, bits)
-        assert {(m,): layout.unpack(p, order) for m, p
+        layout = _kernel_layout(order, bits)
+        assert {(m,): read_series(p, layout, order) for m, p
                 in _pair_kernel(order, bits).items()} == want.c, order
         with pytest.raises(AssertionError, match="slot width"):
             _pair_kernel(order, bits - 8)
@@ -933,7 +948,7 @@ def test_majorant_is_the_sum_of_absolute_pair_coefficients():
         stride, total = 2 * order + 1, {}
         for bs in pair_kernel(order).c.values():
             for (a, b), v in bs.c.items():
-                total[a * stride + b] = total.get(a * stride + b, 0) + abs(v)
+                total[b * stride + a] = total.get(b * stride + a, 0) + abs(v)
         want = [total.get(i, 0) for i in range(max(total) + 1)]
         assert list(_majorants(order, 1)[0]) == want, order
 
@@ -951,9 +966,10 @@ def test_solved_row_end_ranges_keep_the_states_of_the_per_m_reach_filter():
                 assert _stage_states(got) == _stage_states(want), \
                     (n, D, slack)
                 assert got == want, (n, D, slack)
-                final = {w: layout.unpack(p, cap)
-                         for w, (p, cap) in want[-1].items()}
-                assert fresh_kernel(n, D, slack) == final, (n, D, slack)
+                final = {w: read_table(p, layout)
+                         for w, (p, _) in want[-1].items()}
+                assert kernel_tables(fresh_kernel(n, D, slack)) == final, \
+                    (n, D, slack)
     clear_kernels()
 
 
@@ -976,12 +992,11 @@ def test_mirrored_kernel_build_equals_unmirrored_oracle():
              if D <= {4: 5, 5: 3}.get(n, D) for slack in (0, 1, 3)]
     for n, D, slack in cases:
         bits = _kernel_bound(n, D).bit_length() + 1
-        got = _kernel_build(n, D, slack, bits)
+        got = kernel_tables(_kernel_build(n, D, slack, bits))
         want = by_reach.kernel_build_unmirrored(n, D, slack, bits)
         assert set(got) == set(want), (n, D, slack)
         for w, bs in want.items():
-            assert (got[w].order, got[w].c) == (bs.order, bs.c), \
-                (n, D, slack, w)
+            assert got[w] == bs.c, (n, D, slack, w)
 
 
 def signed_slots(p, bits, count):
@@ -1022,12 +1037,12 @@ def kernel_pairings_by_dicts(kern, lams, n, order):
     for lam in lams:
         monomials = p_in_x(lam, n, 1).c.items()
         total = {}
-        for w, bs in kern.items():
+        for w, table in kernel_tables(kern).items():
             weight = _orbit_size(w)
             phi = add_terms({}, ((_raise_cost([a + b for a, b in zip(w, t)]),
                                   weight * c) for t, c in monomials))
             for k, c in phi.items():
-                for (a, b), v in bs.c.items():
+                for (a, b), v in table.items():
                     if a + k <= order and b + k <= order:
                         key = (a + k, b + k)
                         total[key] = total.get(key, 0) + c * v
@@ -1048,10 +1063,12 @@ def test_packed_pairings_equal_dict_oracle():
         fp = to_p(to_symfunc(parse(expr)))
         slack = fp.degree()
         kern = _delta_kernel(n, D, slack)
-        bits = _pairing_bound(kern, n, slack).bit_length() + 1
-        weighted = _weighted_kernel(kern, n, D, slack, bits)
-        assert (_kernel_pairings(weighted, fp.c, n, D, bits)
-                == kernel_pairings_by_dicts(kern, fp.c, n, D)), (expr, n, D)
+        layout = PackedLayout(D, _pairing_bound(kern, n, D, slack).bit_length()
+                              + 1, 0, kern.layout.room)
+        got = {lam: BiSeries(D, read_table(layout.place(rows), layout))
+               for lam, rows in _kernel_pairings(kern, fp.c, n,
+                                                 layout).items()}
+        assert got == kernel_pairings_by_dicts(kern, fp.c, n, D), (expr, n, D)
 
 
 def test_pairing_width_one_bit_short_of_the_bound_is_refused():
@@ -1059,10 +1076,12 @@ def test_pairing_width_one_bit_short_of_the_bound_is_refused():
         fp = to_p(to_symfunc(parse(expr)))
         slack = fp.degree()
         kern = _delta_kernel(n, D, slack)
-        bits = _pairing_bound(kern, n, slack).bit_length() + 1
-        _weighted_kernel(kern, n, D, slack, bits)
+        bits = _pairing_bound(kern, n, D, slack).bit_length() + 1
+        _kernel_pairings(kern, fp.c, n,
+                         PackedLayout(D, bits, 0, kern.layout.room))
         with pytest.raises(AssertionError, match="slot width"):
-            _weighted_kernel(kern, n, D, slack, bits - 1)
+            _kernel_pairings(kern, fp.c, n,
+                             PackedLayout(D, bits - 1, 0, kern.layout.room))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 
 from constant_term_by_fractions import geometric, geometric_z1z2, shift
 from hilbeuler.ratfunc import RF1, RationalFunction1, pmul
-from hilbeuler.series import (BiSeries, PackedLayout, RowLayout,
-                              check_width, unpack)
+from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
 from hilbeuler.symfunc import SymFunc
 from hilbeuler.xlaurent import XLaurent, add_terms
 from localization_by_rational_functions import from_rf_product
+from packed_tables import pack_table, read_table
 from pieri_by_tuples import pack
 
 
@@ -221,13 +221,18 @@ def _random_int_series(rng, order, norm, nterms):
 
 
 def _packed(layout, x, y):
-    return layout.pack(x) * layout.pack(y)
+    return pack_table(layout, x.c) * pack_table(layout, y.c)
+
+
+def _product_layout(order):
+    """Rows with room for a product of two series of the window."""
+    return PackedLayout(order, BITS, 0, 2 * order + 1)
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 9])
 def test_packed_product_equals_biseries_product(order):
     rng = random.Random(order)
-    layout = PackedLayout(order, BITS)
+    layout = _product_layout(order)
     corners = [(0, 0), (0, order), (order, 0), (order, order)]
     # single monomials put +-TOP in one slot, in the window and beyond it
     pairs = [(BiSeries(order, {k1: 63}), BiSeries(order, {k2: sign * 65}))
@@ -243,33 +248,35 @@ def test_packed_product_equals_biseries_product(order):
         check_width(layout.bits, _l1(x) * _l1(y))
         want = x * y
         p = _packed(layout, x, y)
-        assert layout.unpack(layout.truncate(p), order) == want
-        # untruncated products unpack at every cap as the truncated series
+        assert read_table(layout.truncate(p), layout) == want.c
+        # an untruncated product is cut into the rows of the series
+        assert layout.place(layout.rows(p)) == layout.truncate(p)
         for cap in range(order + 1):
-            assert layout.unpack(p, cap) == BiSeries(cap, want.c)
             # cutting to a cap gives the packed truncated series, and so
             # does cutting both operands to it before the product
-            cut = layout.pack(BiSeries(cap, want.c))
+            cut = pack_table(layout, BiSeries(cap, want.c).c)
             assert layout.truncate(p, cap) == cut
-            assert layout.truncate(layout.truncate(layout.pack(x), cap)
-                                   * layout.truncate(layout.pack(y), cap),
-                                   cap) == cut
+            assert layout.truncate(
+                layout.truncate(pack_table(layout, x.c), cap)
+                * layout.truncate(pack_table(layout, y.c), cap), cap) == cut
     # sums of untruncated products truncate once, as the kernel does
     for (x, y), (u, v) in zip(pairs[::2], pairs[1::2]):
         if _l1(x) * _l1(y) + _l1(u) * _l1(v) <= TOP:
             p = _packed(layout, x, y) + _packed(layout, u, v)
-            assert layout.unpack(layout.truncate(p), order) == x * y + u * v
+            assert (read_table(layout.truncate(p), layout)
+                    == (x * y + u * v).c)
 
 
 def test_packed_layout_check_rejects_bounds_its_slots_cannot_hold():
-    layout = PackedLayout(3, BITS)
+    layout = _product_layout(3)
     check_width(layout.bits, TOP)
     with pytest.raises(AssertionError):
         check_width(layout.bits, TOP + 1)
     # the check is tight: a slot of 2^(B-1) breaks the product
     x, y = BiSeries(3, {(1, 1): 64}), BiSeries(3, {(1, 2): 64})
     assert _l1(x) * _l1(y) == TOP + 1
-    assert layout.unpack(layout.truncate(_packed(layout, x, y)), 3) != x * y
+    assert (read_table(layout.truncate(_packed(layout, x, y)), layout)
+            != (x * y).c)
 
 
 def test_packed_nonnegative_polynomial_product_equals_pmul():
@@ -304,7 +311,7 @@ def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
     rng = random.Random(20)
     for order, off, bits, spare in ((0, 0, 8, 0), (3, 2, 8, 3),
                                     (4, 5, 16, 6)):
-        layout = RowLayout(order, bits, off, order + off + 1 + spare)
+        layout = PackedLayout(order, bits, off, order + off + 1 + spare)
         top = (1 << (bits - 1)) - 1
         window = [(a, b) for a in range(-off, order + 1)
                   for b in range(order + 1)]
@@ -327,7 +334,29 @@ def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
                 (a + i, b): v for (a, b), v in table.items()
                 if a + i <= order}
     with pytest.raises(AssertionError, match="row room"):
-        RowLayout(3, 8, 2, 5)
+        PackedLayout(3, 8, 2, 5)
+
+
+def test_widened_tables_equal_slot_by_slot_repacks():
+    # signed tables of the rows b <= order, room included, with slots at
+    # +-(2^(B-1) - 1), re-slotted to every wider width and to the same one
+    rng = random.Random(2009)
+    for order, off, room in ((0, 0, 1), (2, 0, 5), (3, 2, 9), (6, 1, 13)):
+        slots = [(a, b) for a in range(-off, room - off)
+                 for b in range(order + 1)]
+        for bits, wide in ((5, 5), (5, 6), (7, 16), (13, 64), (8, 9)):
+            layout = PackedLayout(order, bits, off, room)
+            target = PackedLayout(order, wide, off, room)
+            top = (1 << (bits - 1)) - 1
+            for _ in range(20):
+                keys = rng.sample(slots, rng.randint(0, len(slots)))
+                table = add_terms({}, ((k, rng.choice((-top, top, rng.randint(
+                    -top, top)))) for k in keys))
+                got = layout.widen(pack_table(layout, table), wide)
+                assert got == pack_table(target, table), (order, bits, wide)
+                assert read_table(got, target) == table
+    with pytest.raises(AssertionError, match="slot width"):
+        PackedLayout(3, 16, 1, 8).widen(0, 15)
 
 
 def test_absent_cell_is_int_zero():
