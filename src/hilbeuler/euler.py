@@ -8,10 +8,11 @@ f, a Laurent table in z1, z2 in integers, from series kept as packed
 z1-rows, one int per z2-degree, over a product of (1 - z1^k) that
 `expand` divides out: localization sums the expanded Omega of each fixed
 point times the basis element on packed ints, and the other two expand one
-such series per basis element. `_basis_tables` keeps each table per
-(method, n, order, basis element), so a later call builds only the tables
-it lacks. `_apply_coefficients` then multiplies in f's coefficients, which
-are rational in z1, and nothing comes after it.
+such series per basis element, and reads the table from its z2-rows.
+`_basis_tables` keeps each table per (method, n, order, basis element),
+so a later call builds only the tables it lacks. `_apply_coefficients`
+then multiplies in f's coefficients, integer polynomials in z1 that each
+evaluator checks before it builds anything, and nothing comes after it.
 The plethystic exponentials of the first two are applied to the rows by
 `omega`, one shift-add per row and wedge-rule step. `cross_check`
 compares the three coefficient by coefficient.
@@ -25,9 +26,8 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from .partitions import arm_leg, as_partition, cells, partitions_of
-from .ratfunc import rf_expand
-from .series import (BiSeries, PackedLayout, WedgeSeries, byte_width,
-                     check_width, den_series, expand, omega, unpack)
+from .series import (BiSeries, PackedLayout, WedgeSeries, check_width,
+                     den_series, expand, omega, split_monomials, unpack)
 from .symfunc import convert, p_in_x, schur_positive, to_p
 from .xlaurent import XLaurent, add_terms
 # perfbench/tracer.py rebinds expand_in_P, hl_P, k_exponent and multiply in
@@ -39,7 +39,7 @@ from .xlaurent import XLaurent, add_terms
 # run counts them. No evaluator builds a WedgeSeries: the class and its
 # __mul__ stay for the tracer and for the test oracles.
 from .hall_littlewood import (expand_in_P, hl_P, k_exponent, multiply,
-                              packed_e_times_P, z_multinomial)
+                              pieri_e, z_multinomial)
 
 #: the evaluators, by the names `evaluate` and the CLI take
 METHODS = ("theorem", "localization", "constant-term")
@@ -139,34 +139,41 @@ def _holomorphic_part(coeffs, order):
     return BiSeries(order, coeffs)
 
 
+def _polynomial_coefficients(g):
+    """The coefficients {lam: c} of the SymFunc g, each checked to be an
+    integer polynomial in z1 over one positive integer: raise ValueError at
+    the first that is not. Every f of the expression grammar passes, as the
+    P/Q atoms have polynomial coefficients (Macdonald III.2), so a
+    z-denominator only comes through the API."""
+    for lam, c in g.c.items():
+        if len(c.den) != 1:
+            raise ValueError("the coefficient %s of %s[%s] is not a "
+                             "polynomial in z1"
+                             % (c, g.basis, ",".join(map(str, lam))))
+    return g.c
+
+
 def _apply_coefficients(tables, coeffs, order, den=1):
     """BiSeries of sum over lam of coeffs[lam] * tables[lam] / den.
 
     Each table is {(a, b): int}, a Laurent table in z1 that must be exact
-    for a <= order. Each coefficient, a rational function of z1, is
-    expanded once at z1 = 0 by `rf_expand`: it is regular there, because
-    f's grammar has no bare z and the P/Q atoms only bring denominators
-    that are products of (1 - z1^k), so a product term at a <= order needs
-    table entries at a <= order only. The expansions are scaled to ints
-    over their common denominator, the sum is taken in ints, and each
-    coefficient of it is divided by that denominator times den: an int
-    where the division is exact, a Fraction only where it is not. The sum
-    must be holomorphic at z1 = 0.
+    for a <= order, and each coefficient an integer polynomial in z1 over
+    one positive integer (see `_polynomial_coefficients`), so a product
+    term at a <= order needs table entries at a <= order only. The
+    numerators are scaled to the common denominator, the sum is taken in
+    ints, and each coefficient of it is divided by that denominator times
+    den: an int where the division is exact, a Fraction only where it is
+    not. The sum must be holomorphic at z1 = 0.
     """
-    expansions = {}
-    for lam, table in tables.items():
-        if table:
-            lo = min(a for a, _ in table)
-            expansions[lam] = rf_expand(coeffs[lam], order - lo)
-    common = lcm(*(w.denominator for r in expansions.values() for w in r))
+    common = lcm(*(coeffs[lam].den[0] for lam in tables))
     # inline per-term kernel: every table entry meets every nonzero term of
-    # its coefficient's expansion up to the window; zeros of the sum are
-    # dropped once, by _holomorphic_part
+    # its coefficient up to the window; zeros of the sum are dropped once,
+    # by _holomorphic_part
     total = {}
-    for lam, r in expansions.items():
-        terms = [(i, w.numerator * (common // w.denominator))
-                 for i, w in enumerate(r) if w]
-        for (a, b), v in tables[lam].items():
+    for lam, table in tables.items():
+        num, scale = coeffs[lam].num, common // coeffs[lam].den[0]
+        terms = [(i, w * scale) for i, w in enumerate(num) if w]
+        for (a, b), v in table.items():
             for i, w in terms:
                 if a + i > order:
                     break
@@ -192,9 +199,10 @@ def _omega_reach(char, order):
     corner cell of the partition brings the weights z1 and z2. Its large
     monomials z1^p z2^q (q < 0, so p > 0) shift the series by
     z1^-(pc) z2^(-qc) and then act as small ones, z1^-p z2^-q; its
-    monomials with q = 0 have p > 0 and form den. After the shifts, every
-    step adds to a row a shifted copy of another, and all of them carry
-    the sign (-1)^(sum of the shifts' c), so no step cancels a term.
+    monomials with q = 0 have p > 0 and form den (`split_monomials`). After
+    the shifts, every step adds to a row a shifted copy of another, and all
+    of them carry the sign (-1)^(sum of the shifts' c), so no step cancels
+    a term.
 
     Depth: the shifts take z1 down by S = sum pc and use T = sum -qc of the
     z2-degree, so a term in the window got at most B = order - T from the
@@ -209,21 +217,12 @@ def _omega_reach(char, order):
     N_B times its coefficient at z1^(order + depth). When B < 0 no term
     reaches the window and both are 0.
     """
-    shift_p = shift_q = 0
-    steps, den = [], []
-    for (p, q), c in char.c.items():
-        if q < 0:
-            shift_p, shift_q = shift_p + p * c, shift_q - q * c
-            p, q = -p, -q
-        if q == 0:
-            den += [p] * c
-        else:
-            steps.append((p, q, c))
+    (shift_p, shift_q), _, den, steps = split_monomials(char)
     budget = order - shift_q
     if budget < 0:
         return 0, 0
-    depth = shift_p + max((-p * budget // q for p, q, _ in steps if p < 0),
-                          default=0)
+    depth = -shift_p + max((-p * budget // q for p, q, _ in steps if p < 0),
+                           default=0)
     counts = [1] + [0] * budget
     for _, q, c in steps:
         for _ in range(c):
@@ -235,9 +234,10 @@ def _omega_reach(char, order):
 
 def _localization_layout(lams, n, order, depth, bound):
     """The `PackedLayout` of `_localization_sums` for lams: rows down to depth,
-    the slot width of `_localization_bound`, rounded up to whole bytes,
-    and room for the power sums' z1-shifts."""
-    return PackedLayout(order, byte_width(_localization_bound(bound, lams, n)),
+    the slot width of `_localization_bound`, and room for the power sums'
+    z1-shifts."""
+    return PackedLayout(order,
+                        _localization_bound(bound, lams, n).bit_length() + 1,
                         depth, _localization_room(lams, n, order, depth))
 
 
@@ -286,8 +286,8 @@ def _localization_sums(fixed, lams, n, layout, bound):
     shift stays below the window's top, z2^order and z1^(order + depth),
     and the product is cut back to the window after every power sum.
     Products are shared between lams with a common prefix, the fixed
-    points are summed as ints, and each sum is unpacked once, its slots
-    a < 0 included, so `_holomorphic_part` sees any pole.
+    points are summed as ints, and each sum is read once from its z2-rows,
+    its slots a < 0 included, so `_holomorphic_part` sees any pole.
     """
     order, off = layout.order, layout.off
     check_width(layout.bits, _localization_bound(bound, lams, n))
@@ -304,7 +304,7 @@ def _localization_sums(fixed, lams, n, layout, bound):
                         x << layout.shift(k * p, k * q) for p, q in taut.c
                         if k * q <= order and k * p <= order + off))
             totals[lam] += prods[lam]
-    return {lam: layout.unpack_table(p) for lam, p in totals.items()}
+    return {lam: layout.read(layout.rows(p)) for lam, p in totals.items()}
 
 
 #: (n, order) -> [fixed-point data, depth, bound, layout, expanded fixed
@@ -342,18 +342,17 @@ def euler_localization(f, n, order):
     summed by `_localization_sums` over the fixed points of `_FIXED`: each
     Omega(cotangent_mu) is expanded once per (n, order) into its packed
     table E_mu, and again only for a wider layout. `_apply_coefficients`
-    then multiplies in c_lam, which is a rational function of z1 for P/Q
-    atoms.
+    then multiplies in c_lam, which is a polynomial in z1 for P/Q atoms.
     """
     check_guards("localization", n, order)
-    fp = to_p(f)
+    coeffs = _polynomial_coefficients(to_p(f))
 
     def build(lams):
         layout, fixed, bound = _fixed_points(n, order, lams)
         return _localization_sums(fixed, lams, n, layout, bound)
 
     return EulerResult(_apply_coefficients(
-        _basis_tables("localization", n, order, fp.c, build), fp.c, order))
+        _basis_tables("localization", n, order, coeffs, build), coeffs, order))
 
 
 # ---------------------------------------------------------------------------
@@ -738,22 +737,22 @@ def euler_constant_term(f, n, order, force=False):
     slack they need.
     """
     check_guards("constant-term", n, order, force)
-    fp = to_p(f)
+    coeffs = _polynomial_coefficients(to_p(f))
 
     def build(lams):
         slack = max(map(sum, lams))
         kern = _delta_kernel(n, order, slack)
-        layout = PackedLayout(order, byte_width(_pairing_bound(
-            kern, n, order, slack)), 0, kern.layout.room)
+        layout = PackedLayout(order, _pairing_bound(
+            kern, n, order, slack).bit_length() + 1, 0, kern.layout.room)
         prefactor = XLaurent(2, {(1, 0): n, (0, 1): n})
-        return {lam: layout.unpack_table(layout.place(expand(
-                    *omega(prefactor, rows, (), layout), layout)))
+        return {lam: layout.read(expand(*omega(prefactor, rows, (), layout),
+                                        layout))
                 for lam, rows in _kernel_pairings(kern, lams, n,
                                                   layout).items()}
 
     return EulerResult(_apply_coefficients(
-        _basis_tables("constant-term", n, order, fp.c, build), fp.c, order,
-        factorial(n)))
+        _basis_tables("constant-term", n, order, coeffs, build), coeffs,
+        order, factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -786,16 +785,25 @@ def _theorem_bound(rhos, n, order):
 def _theorem_numerators(rhos, n, order, bits):
     """The numerators over [n]_z1 of the summation formula for each e_rho:
     rho -> z2-degree m -> polynomial in z1 packed at slot width bits, which
-    must hold `_theorem_bound`. A term's z1^shift is a shift by bits*shift,
-    and no term is unpacked."""
+    must hold `_theorem_bound`. For each mu, e_rho * P_mu is taken on the
+    P_nu with len(nu) <= n by the e-Pieri rule one part of rho at a time,
+    and the products are shared between rhos with a common prefix. A
+    term's z1^shift is a shift by bits*shift, and no term is unpacked."""
     check_width(bits, _theorem_bound(rhos, n, order))
     nums = {rho: {} for rho in rhos}
     for m in range(order + 1):
         for mu in partitions_of(m, n):
-            shifts = {}
+            prods, shifts = {(): {mu: 1}}, {}
             for rho, by_m in nums.items():
+                for i, r in enumerate(rho):
+                    if rho[:i + 1] not in prods:
+                        nxt = {}
+                        for lam, c in prods[rho[:i]].items():
+                            for nu, cn in pieri_e(lam, r, n, bits):
+                                nxt[nu] = nxt.get(nu, 0) + c * cn
+                        prods[rho[:i + 1]] = nxt
                 num = by_m.get(m, 0)
-                for nu, c in packed_e_times_P(rho, mu, n, bits).items():
+                for nu, c in prods[rho].items():
                     shift = shifts.get(nu)
                     if shift is None:
                         shift = shifts[nu] = m + k_exponent(mu, nu)
@@ -816,8 +824,8 @@ def euler_theorem(f, n, order):
     `_theorem_bound`, times the top coefficient of 1/[n]_z1!, proves wide
     enough for the expansion too; per e_rho these numerators are the
     z2-rows of one series over [n]_z1!, `expand` divides each of them once,
-    `_basis_tables` keeps the table, and `_apply_coefficients` multiplies
-    in the e-coefficients of f.
+    `_basis_tables` keeps the table read from them, and
+    `_apply_coefficients` multiplies in the e-coefficients of f.
 
     No term needs a holomorphy check of its own: with a = mu'_i and
     b = nu'_i, k(mu, nu) = sum_i [C(a, 2) + C(b, 2) - ab]
@@ -826,21 +834,21 @@ def euler_theorem(f, n, order):
     power series in z1.
     """
     check_guards("theorem", n, order)
-    fe = convert(to_p(f), "e")
+    coeffs = _polynomial_coefficients(convert(to_p(f), "e"))
 
     def build(rhos):
         # 1/den is nonnegative and nondecreasing, so a slot of a numerator
         # times it is at most the numerator at z1 = 1 times its top slot
         den = tuple(range(1, n + 1))
-        layout = PackedLayout(order, byte_width(_theorem_bound(
-            rhos, n, order) * den_series(den, order + 1)[-1]))
-        return {rho: layout.unpack_table(layout.place(expand(
-                    [by_m[m] for m in range(order + 1)], den, layout)))
+        bound = _theorem_bound(rhos, n, order) * den_series(den, order + 1)[-1]
+        layout = PackedLayout(order, bound.bit_length() + 1)
+        return {rho: layout.read(expand(
+                    [by_m[m] for m in range(order + 1)], den, layout))
                 for rho, by_m in _theorem_numerators(rhos, n, order,
                                                      layout.bits).items()}
 
     return EulerResult(_apply_coefficients(
-        _basis_tables("theorem", n, order, fe.c, build), fe.c, order))
+        _basis_tables("theorem", n, order, coeffs, build), coeffs, order))
 
 
 def evaluate(method, f, n, order):

@@ -207,21 +207,6 @@ def _vertical_strips(rows, r):
     return tuple(out)
 
 
-def packed_e_times_P(rho, mu, n, bits):
-    """e_rho * P_mu on the P_nu with len(nu) <= n, by the e-Pieri rule one
-    part of rho at a time: dict nu -> integer polynomial packed at slot
-    width bits, which the caller has checked against a bound on every
-    coefficient of the partial products."""
-    out = {mu: 1}
-    for r in rho:
-        nxt = {}
-        for lam, c in out.items():
-            for nu, cn in pieri_e(lam, r, n, bits):
-                nxt[nu] = nxt.get(nu, 0) + c * cn
-        out = nxt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # expansions and matrix elements
 

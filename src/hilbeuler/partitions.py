@@ -19,10 +19,6 @@ def as_partition(parts):
     return t
 
 
-def size(mu):
-    return sum(mu)
-
-
 @lru_cache(maxsize=None)
 def conjugate(mu):
     """Transpose of the Young diagram. Cached: the e-Pieri rule and the

@@ -103,13 +103,6 @@ def psubs_power(p, k):
     return ptrim(out)
 
 
-def peval(p, x):
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
 class RationalFunction1:
     """Exact ratio of integer-coefficient polynomials in one parameter."""
 
@@ -248,16 +241,24 @@ class RationalFunction1:
         return RationalFunction1(psubs_power(self.num, k),
                                  psubs_power(self.den, k))
 
-    def eval(self, x):
-        dv = peval(self.den, Fraction(x))
-        if not dv:
-            raise ZeroDivisionError("denominator vanishes at %r" % (x,))
-        return peval(self.num, Fraction(x)) / dv
-
     def expand(self, order):
-        """First order+1 Taylor coefficients at the origin: ints when the
-        constant term of the denominator is 1, else Fractions."""
-        return rf_expand(self, order)
+        """Taylor coefficients c_0..c_order about the origin.
+
+        The normalized denominator must not vanish at zero, so its constant
+        term is positive. When that term is 1 the recurrence never divides
+        and the coefficients are ints; otherwise they are Fractions.
+        """
+        num, den = self.num, self.den
+        if not den[0]:
+            raise ValueError("not expandable at origin: denominator %r"
+                             % (den,))
+        out = []
+        for k in range(order + 1):
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            out.append(acc if den[0] == 1 else Fraction(acc, den[0]))
+        return out
 
     def __repr__(self):
         return "RationalFunction1(%r, %r)" % (self.num, self.den)
@@ -280,26 +281,6 @@ def _coerce(x):
 
 RF0 = RationalFunction1((0,))
 RF1 = RationalFunction1((1,))
-
-
-def rf_expand(r, order):
-    """Taylor coefficients c_0..c_order of r about the origin.
-
-    The normalized denominator must not vanish at zero, so its constant
-    term is positive. When that term is 1 the recurrence never divides and
-    the coefficients are ints; otherwise they are Fractions.
-    """
-    den = r.den
-    if not den[0]:
-        raise ValueError("not expandable at origin: denominator %r" % (den,))
-    num, d0 = r.num, den[0]
-    out = []
-    for k in range(order + 1):
-        acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc if d0 == 1 else Fraction(acc, d0))
-    return out
 
 
 # ---------------------------------------------------------------------------

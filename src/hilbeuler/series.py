@@ -13,7 +13,8 @@ tables is one big-int multiply. A univariate polynomial with
 nonnegative integer coefficients is packed the same way as its value at
 z = 2^bits; `unpack` reads its coefficients back, and `check_width` asserts
 that a slot width holds a bound. `omega` and `expand` build the wedge
-expansions of the evaluators on z2-rows.
+expansions of the evaluators on z2-rows, and `PackedLayout.read` takes a
+table's slots back from its z2-rows.
 """
 
 from fractions import Fraction
@@ -136,11 +137,6 @@ def check_width(bits, bound):
         "slot width %d too small for bound %d" % (bits, bound)
 
 
-def byte_width(bound):
-    """The least multiple of 8 that is a slot width holding bound."""
-    return (bound.bit_length() + 8) // 8 * 8
-
-
 def unpack(p, bits):
     """The coefficient tuple, trimmed, of a polynomial packed as its value
     p >= 0 at z = 2^bits, whose coefficients all lie in [0, 2^bits)."""
@@ -194,10 +190,10 @@ class PackedLayout:
     of the window and KEEP_BIAS takes their bias back off. The masks of
     each cap are built once. `cut_row` cuts a z2-row, or a product of rows,
     to its slots a <= order the same way. `widen` re-slots a table to a
-    wider slot width, and `unpack_table` reads it.
+    wider slot width, and `read` reads a table from its z2-rows.
     """
 
-    __slots__ = ("order", "bits", "off", "room", "_row", "_neg", "_masks")
+    __slots__ = ("order", "bits", "off", "room", "_row", "_masks")
 
     def __init__(self, order, bits, off=0, room=None):
         width = order + off + 1
@@ -205,10 +201,8 @@ class PackedLayout:
         self.room = width if room is None else room
         assert self.room >= width, "row room %d below the window's %d slots" \
             % (self.room, width)
-        half, digit = 1 << (bits - 1), (1 << bits) - 1
-        self._row = (_tile(half, bits, width), (1 << bits * width) - 1)
-        self._neg = tuple(_tile(_tile(v, bits, off), bits * self.room,
-                                order + 1) for v in (digit, half))
+        self._row = (_tile(1 << (bits - 1), bits, width),
+                     (1 << bits * width) - 1)
         self._masks = {}
 
     def shift(self, a, b):
@@ -287,30 +281,31 @@ class PackedLayout:
                 rounds, _tile(1 << (self.bits - 1), bits, count))
         return spread
 
-    def unpack_table(self, p):
-        """The nonzero slots {(a, b): int} of p, a packed table of the
-        window: the biased digits are turned into one byte string, and each
-        row's slots into one int, so each slot read shifts a row-sized int.
-        It needs byte-aligned slots (B a multiple of 8). The slots a < 0 are
-        read only when one of them is not zero, which one mask test
-        tells."""
-        assert self.bits % 8 == 0, "unpack_table needs byte-aligned slots"
-        width, half = self.bits // 8, 1 << (self.bits - 1)
-        digit = (1 << self.bits) - 1
-        q = p + self._mask(self.order)[2]
-        neg_keep, neg_half = self._neg
-        first = self.off if q & neg_keep == neg_half else 0
-        last = self.off + self.order + 1
-        buf = q.to_bytes(width * (self.order * self.room + last), "little")
-        coeffs = {}
-        for b in range(self.order + 1):
-            at = width * (b * self.room + first)
-            row = int.from_bytes(buf[at:at + width * (last - first)], "little")
-            for s in range(last - first):
-                v = ((row >> self.bits * s) & digit) - half
+    def read(self, rows):
+        """The nonzero slots {(a, b): int} of the table whose z2-row b is the
+        int rows[b], slots a < 0 included, at any slot width. A row is read
+        from its lowest nonzero slot, the lowest set bit's, one signed digit
+        at a time: a digit of 2^(B-1) or more is negative and carries one
+        into the slots above it."""
+        bits, digit = self.bits, (1 << self.bits) - 1
+        half, full = 1 << (bits - 1), 1 << bits
+        out = {}
+        for b, row in enumerate(rows):
+            if not row:
+                continue
+            a = ((row & -row).bit_length() - 1) // bits
+            row >>= bits * a
+            a -= self.off
+            while row:
+                v = row & digit
+                row >>= bits
+                if v >= half:
+                    v -= full
+                    row += 1
                 if v:
-                    coeffs[(s + first - self.off, b)] = v
-        return coeffs
+                    out[(a, b)] = v
+                a += 1
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,33 +354,17 @@ class WedgeSeries:
         return WedgeSeries(D, out, self.den + other.den)
 
 
-def omega(char, rows, den, layout):
-    """Multiply sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k) by the
-    plethystic exponential of a virtual character, an XLaurent(2, ...) of
-    weight multiplicities, and return the product as (rows, den).
-
-    rows holds the layout.order + 1 z2-rows of `layout`, a `PackedLayout`,
-    and is not changed. Omega(char) is the product over monomials
-    m = z1^p z2^q of multiplicity c of (1 - m)^(-c). A large monomial (q < 0, or q = 0 > p) is made small:
-    (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)), so the series is shifted by
-    (-m^(-1))^c; the shifts of all of them are made at once, before every
-    other step, and rows shifted past the order are dropped. Then z1^p
-    with p > 0 joins den; otherwise row b gains z1^p times row b - q,
-    bottom row up, to divide by 1 - m, and loses it, top row down, to
-    multiply by 1 - m (c < 0, which needs q >= 0). No step lowers a
-    z2-degree, so truncating at the order commutes with every step.
-
-    Times z1^p is a shift by B*p, a right shift when p < 0. It is exact
-    while no row reaches below its slot 0, z1^-off: the caller's depth
-    `layout.off` must bound how deep the rows reach, and every right shift
-    asserts that the bits it drops are zero. Every slot must stay within
-    (-2^(B-1), 2^(B-1)), which the caller asserts with `check_width`.
+def split_monomials(char):
+    """(shift, sign, den, steps) of the monomials m = z1^p z2^q, of
+    multiplicity c, of a virtual character char, sorted as `omega` applies
+    them. A large monomial (q < 0, or q = 0 > p) is made small,
+    (1 - m)^(-1) = -m^(-1) / (1 - m^(-1)): its c copies shift the series by
+    (-m^(-1))^c, so shift sums (-p, -q) times c and sign the signs. Then
+    z1^p with p, c > 0 joins den, a list of k, c times, and every other
+    monomial is a wedge step (p, q, c).
     """
-    order, bits = layout.order, layout.bits
-    rows, den = list(rows), list(den)
-    steps = []
     shift_p = shift_q = 0
-    sign = 1
+    sign, den, steps = 1, [], []
     for (p, q), c in char.items_sorted():
         if (p, q) == (0, 0):
             raise ValueError("plethystic exponential undefined at the "
@@ -400,6 +379,33 @@ def omega(char, rows, den, layout):
             den += [p] * c
         else:
             steps.append((p, q, c))
+    return (shift_p, shift_q), sign, den, steps
+
+
+def omega(char, rows, den, layout):
+    """Multiply sum_b z2^b rows[b] / prod_{k in den} (1 - z1^k) by the
+    plethystic exponential of a virtual character, an XLaurent(2, ...) of
+    weight multiplicities, and return the product as (rows, den).
+
+    rows holds the layout.order + 1 z2-rows of `layout`, a `PackedLayout`,
+    and is not changed. Omega(char) is the product over monomials
+    m = z1^p z2^q of multiplicity c of (1 - m)^(-c), split by
+    `split_monomials`: the series is shifted by the large monomials' shift
+    before every other step, and rows shifted past the order are dropped.
+    Then den grows, and for each wedge step row b gains z1^p times row
+    b - q, bottom row up, to divide by 1 - m, and loses it, top row down,
+    to multiply by 1 - m (c < 0, which needs q >= 0). No step lowers a
+    z2-degree, so truncating at the order commutes with every step.
+
+    Times z1^p is a shift by B*p, a right shift when p < 0. It is exact
+    while no row reaches below its slot 0, z1^-off: the caller's depth
+    `layout.off` must bound how deep the rows reach, and every right shift
+    asserts that the bits it drops are zero. Every slot must stay within
+    (-2^(B-1), 2^(B-1)), which the caller asserts with `check_width`.
+    """
+    order, bits = layout.order, layout.bits
+    (shift_p, shift_q), sign, more, steps = split_monomials(char)
+    rows = list(rows)
     if shift_p or shift_q:
         keep = max(0, order + 1 - shift_q)
         rows = [0] * (order + 1 - keep) + [
@@ -411,7 +417,7 @@ def omega(char, rows, den, layout):
                 if src:
                     src = _times_z1(src, p, bits)
                     rows[b] = rows[b] + src if c > 0 else rows[b] - src
-    return rows, tuple(sorted(den))
+    return rows, tuple(sorted((*den, *more)))
 
 
 def _times_z1(row, p, bits):

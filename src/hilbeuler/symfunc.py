@@ -101,9 +101,6 @@ class SymFunc:
             f.c = {k: v * value for k, v in self.c.items()}
         return f
 
-    def degree(self):
-        return max((sum(k) for k in self.c), default=0)
-
     def degrees(self):
         """Degrees of the nonzero homogeneous components, ascending."""
         return sorted({sum(k) for k in self.c})

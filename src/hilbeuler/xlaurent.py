@@ -82,14 +82,6 @@ class XLaurent:
                 r.c[k] = nv
         return r
 
-    def map_coeffs(self, fn):
-        r = XLaurent(self.nvars)
-        for k, v in self.c.items():
-            nv = fn(v)
-            if nv:
-                r.c[k] = nv
-        return r
-
     def coeff(self, exps, zero=0):
         return self.c.get(tuple(exps), zero)
 

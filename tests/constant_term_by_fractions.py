@@ -15,6 +15,7 @@ from math import factorial
 
 from hilbeuler.series import BiSeries
 from hilbeuler.symfunc import to_finite_vars, to_p
+from symfunc_helpers import degree
 
 ONE = Fraction(1)
 
@@ -128,7 +129,7 @@ def constant_term_by_fractions(f, n, order):
     """Pair delta_kernel * f(x_1..x_n) against Omega(1/X), as a BiSeries."""
     fp = to_p(f)
     fx = to_finite_vars(fp, n)
-    kern = delta_kernel(n, order, fp.degree())
+    kern = delta_kernel(n, order, degree(fp))
     # multiply in f(X), whose coefficients are rationals in z1
     prod = {}
     for v, bs in kern.items():

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from hilbeuler.euler import (_kernel_bound, _kernel_layout, _pair_kernel,
                              _raise_cost, _row_end_caps)
+from symfunc_helpers import map_coeffs
 from hilbeuler.series import check_width
 from hilbeuler.xlaurent import XLaurent
 from packed_tables import pack_table, read_series
@@ -49,8 +50,8 @@ def pair_kernel_by_products(order):
                 for a, b in ((1, 0), (0, 1)) for u in (1, -1)]
     acc = XLaurent.const(1, 1)
     for fac in factors:
-        acc = (acc * XLaurent(1, fac)).map_coeffs(layout.truncate)
-    return acc.map_coeffs(lambda p: read_series(p, layout, order))
+        acc = map_coeffs(acc * XLaurent(1, fac), layout.truncate)
+    return map_coeffs(acc, lambda p: read_series(p, layout, order))
 
 
 def reach(w, i, order, budget):

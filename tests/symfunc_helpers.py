@@ -1,7 +1,9 @@
 """Helpers that only the tests use: the Hall inner product and the
 principal specialization as independent checks on the symmetric-function
-layer, the parameter specialization f|_{z = value}, `parse_symfunc`, and
-three plethystic arguments for the vertex-operator identities."""
+layer, the parameter specialization f|_{z = value} with the value of a
+rational function at a point, the degree of a symmetric function, a
+coefficient map of x-Laurent polynomials, `parse_symfunc`, and three
+plethystic arguments for the vertex-operator identities."""
 
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.partitions import zee
 from hilbeuler.ratfunc import RF1, RationalFunction1
 from hilbeuler.symfunc import SymFunc, to_p
+from hilbeuler.xlaurent import XLaurent
 
 ARG_ONE = ((0, RF1),)
 ARG_X_ONE_MINUS_Z = ((1, RationalFunction1((1, -1))),)  # x*(1-z)
@@ -19,10 +22,40 @@ def parse_symfunc(text):
     return to_symfunc(parse(text))
 
 
+def rf_eval(r, x):
+    """The value of the RationalFunction1 r at the rational x, by Horner's
+    rule on its numerator and denominator."""
+    def horner(p):
+        v = Fraction(0)
+        for c in reversed(p):
+            v = v * x + c
+        return v
+
+    dv = horner(r.den)
+    if not dv:
+        raise ZeroDivisionError("denominator vanishes at %r" % (x,))
+    return horner(r.num) / dv
+
+
 def subs_z(f, value):
     """Evaluate every coefficient of f at a rational value of the
     parameter."""
-    return SymFunc(f.basis, {k: v.eval(value) for k, v in f.c.items()})
+    return SymFunc(f.basis, {k: rf_eval(v, value) for k, v in f.c.items()})
+
+
+def degree(f):
+    """The largest degree of a basis element of the SymFunc f, 0 if none."""
+    return max((sum(k) for k in f.c), default=0)
+
+
+def map_coeffs(x, fn):
+    """The XLaurent of fn(v) for every coefficient v of x, zeros dropped."""
+    r = XLaurent(x.nvars)
+    for k, v in x.c.items():
+        nv = fn(v)
+        if nv:
+            r.c[k] = nv
+    return r
 
 
 def hall_inner(f, g):
@@ -32,7 +65,7 @@ def hall_inner(f, g):
     for k, v in fp.c.items():
         w = gp.c.get(k)
         if w:
-            acc += v.eval(0) * w.eval(0) * zee(k)
+            acc += rf_eval(v, 0) * rf_eval(w, 0) * zee(k)
     return acc
 
 

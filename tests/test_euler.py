@@ -20,7 +20,8 @@ from hilbeuler.euler import (METHODS, GuardError, WedgeSeries,
                              _kernel_pairings, _localization_bound,
                              _localization_layout, _localization_sums,
                              _majorants, _omega_reach, _orbit_size,
-                             _pair_kernel, _pairing_bound, _raise_cost,
+                             _pair_kernel, _pairing_bound,
+                             _polynomial_coefficients, _raise_cost,
                              _row_end_caps, _theorem_bound,
                              _theorem_numerators, cross_check,
                              euler_constant_term, euler_localization,
@@ -31,14 +32,13 @@ from hilbeuler.hall_littlewood import (_vertical_strips, b_norm_finite,
                                        expand_in_P, gaussian_binomial, hl_P,
                                        k_exponent, pieri_e, z_multinomial)
 from hilbeuler.partitions import conjugate, partitions_of, partitions_up_to
-from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pmul,
-                               rf_expand)
-from hilbeuler.series import (BiSeries, PackedLayout, byte_width,
-                              check_width, unpack)
+from hilbeuler.ratfunc import RF0, RF1, RationalFunction1, padd, pmul
+from hilbeuler.series import BiSeries, PackedLayout, check_width, unpack
 from hilbeuler.symfunc import (SymFunc, convert, multiply, p_in_x,
                                schur_positive, to_p)
 from hilbeuler.xlaurent import XLaurent, add_terms
 from packed_tables import pack_table, read_series, read_table
+from symfunc_helpers import degree
 
 GEO = RF1 / RationalFunction1((1, -1))
 ONE = SymFunc.one()
@@ -61,8 +61,7 @@ def packed_expansion(char, order, off=0, bits=64, rows=None, den=()):
     layout = PackedLayout(order, bits, off)
     if rows is None:
         rows = [1 << bits * off] + [0] * order
-    return layout.unpack_table(layout.place(expand(
-        *omega(char, rows, den, layout), layout)))
+    return layout.read(expand(*omega(char, rows, den, layout), layout))
 
 
 def assert_packed_equals_oracle(char, order, off=0):
@@ -153,7 +152,7 @@ def test_packed_omega_of_every_fixed_point_equals_the_oracle():
                 want = by_wedges.expand(by_wedges.omega(char, D), D)
                 assert -min((a for a, _ in want), default=0) <= depth
                 assert max(map(abs, want.values()), default=0) <= bound
-                got = packed_expansion(char, D, depth, byte_width(bound))
+                got = packed_expansion(char, D, depth, bound.bit_length() + 1)
                 assert got == want, (mu, D)
 
 
@@ -164,11 +163,10 @@ def test_omega_depth_one_short_and_width_one_bit_short_are_refused():
         data, depth, bound = fixed_point_reach(partitions_of(n), D)
         assert depth == (n - 1) * D
         bits = bound.bit_length() + 1
-        _expanded_fixed_points(data, PackedLayout(D, byte_width(bound), depth),
-                               bound)
+        _expanded_fixed_points(data, PackedLayout(D, bits, depth), bound)
         with pytest.raises(AssertionError, match="below the depth"):
-            _expanded_fixed_points(
-                data, PackedLayout(D, byte_width(bound), depth - 1), bound)
+            _expanded_fixed_points(data, PackedLayout(D, bits, depth - 1),
+                                   bound)
         with pytest.raises(AssertionError, match="slot width"):
             _expanded_fixed_points(data, PackedLayout(D, bits - 1, depth),
                                    bound)
@@ -278,13 +276,39 @@ def test_constant_term_force_override():
 
 
 def test_coefficient_with_a_pole_at_z1_zero_is_refused():
-    # the expression grammar cannot write z, so every coefficient it makes
-    # is regular at z1 = 0; one with a pole only comes from the API, and
-    # every evaluator refuses it when it expands the coefficient
-    f = SymFunc("p", {(1,): RationalFunction1.z_power(-1)})
-    for method in ("theorem", "localization", "constant-term"):
-        with pytest.raises(ValueError, match="not expandable at origin"):
-            evaluate(method, f, 2, 3)
+    # the expression grammar cannot write z, and its P/Q atoms have
+    # polynomial coefficients, so a coefficient with a z-denominator only
+    # comes from the API; every evaluator refuses it before it builds any
+    # table, fixed point or kernel
+    n, D = 2, 9
+    for bad in (RationalFunction1.z_power(-1),
+                RF1 / RationalFunction1((1, -1))):
+        f = SymFunc("p", {(3, 1): RF1, (1,): bad})
+        for method in METHODS:
+            # no table or fixed point is kept at (n, D) yet
+            euler._FIXED.pop((n, D), None)
+            for key in [key for key in euler._TABLES if key[1:3] == (n, D)]:
+                del euler._TABLES[key]
+            kept = (dict(euler._TABLES), dict(euler._FIXED),
+                    dict(euler._BUILDS))
+            with pytest.raises(ValueError,
+                               match="is not a polynomial in z1"):
+                evaluate(method, f, n, D)
+            assert (euler._TABLES, euler._FIXED, euler._BUILDS) == kept, \
+                (method, bad)
+
+
+def test_every_p_and_e_coefficient_of_a_pq_atom_is_a_polynomial():
+    # P_lam and Q_lam have polynomial coefficients (Macdonald III.2), so
+    # every f that the expression grammar writes passes the evaluators'
+    # coefficient check
+    count = 0
+    for lam in partitions_up_to(8):
+        for atom in "PQ":
+            fp = to_p(SymFunc.element(atom, lam))
+            for g in (fp, convert(fp, "e")):
+                count += len(_polynomial_coefficients(g))
+    assert count == 2780
 
 
 def test_wedge_series_arithmetic():
@@ -310,8 +334,7 @@ def test_wedge_series_laurent_arithmetic():
     assert by_wedges.expand(ab, 3) == want
     # the packed expansion of the same rows
     layout = PackedLayout(D, 8)
-    assert layout.unpack_table(layout.place(expand(
-        [0, 0, 1, 1 << 8], (2,), layout))) == want
+    assert layout.read(expand([0, 0, 1, 1 << 8], (2,), layout)) == want
     # numerators cancel without normalisation and zeros are dropped
     assert (WedgeSeries(D, {0: {0: 1, 1: 1}})
             * WedgeSeries(D, {0: {0: 1, 1: -1}})).c == {0: {0: 1, 2: -1}}
@@ -329,7 +352,7 @@ def _rf_laurent(ws, hi):
         s = (next(i for i, v in enumerate(rf.num) if v)
              - next(i for i, v in enumerate(rf.den) if v))
         r = RationalFunction1(rf.num[max(s, 0):], rf.den[max(-s, 0):])
-        for i, v in enumerate(rf_expand(r, hi - s)):
+        for i, v in enumerate(r.expand(hi - s)):
             if v:
                 out[(s + i, b)] = v
     return out
@@ -1061,7 +1084,7 @@ def test_packed_pairings_equal_dict_oracle():
     cases += [("s[2,1]", 4, 4)]
     for expr, n, D in cases:
         fp = to_p(to_symfunc(parse(expr)))
-        slack = fp.degree()
+        slack = degree(fp)
         kern = _delta_kernel(n, D, slack)
         layout = PackedLayout(D, _pairing_bound(kern, n, D, slack).bit_length()
                               + 1, 0, kern.layout.room)
@@ -1074,7 +1097,7 @@ def test_packed_pairings_equal_dict_oracle():
 def test_pairing_width_one_bit_short_of_the_bound_is_refused():
     for expr, n, D in (("s[2,1]", 3, 7), ("p[2]-s[1,1]", 2, 3), ("1", 1, 0)):
         fp = to_p(to_symfunc(parse(expr)))
-        slack = fp.degree()
+        slack = degree(fp)
         kern = _delta_kernel(n, D, slack)
         bits = _pairing_bound(kern, n, D, slack).bit_length() + 1
         _kernel_pairings(kern, fp.c, n,
@@ -1122,7 +1145,7 @@ def apply_coefficients_by_fractions(tables, coeffs, order):
         if not table:
             continue
         lo = min(a for a, _ in table)
-        r = rf_expand(coeffs[lam], order - lo)
+        r = coeffs[lam].expand(order - lo)
         terms = [(i, w) for i, w in enumerate(r) if w]
         for (a, b), v in table.items():
             for i, w in terms:
@@ -1142,16 +1165,21 @@ def _error(fn, *args):
 
 
 def test_common_denominator_coefficients_equal_fraction_oracle():
-    # 1/(2 - z1) and 1/(3 - z1^2) expand with powers of den[0] = 2, 3
+    # the p- and e-coefficients of P/Q atoms are polynomials in z1 over
+    # integers 2, 3, ...; times 1/(2 - z1) or 1/(3 - z1^2), or as z1^-1, a
+    # coefficient is rational in z1 and refused
     den2 = RF1 / RationalFunction1((2, -1))
     den3 = RF1 / RationalFunction1((3, 0, -1))
-    coeff_sets = []
+    coeff_sets, rational = [], [{(1,): RationalFunction1.z_power(-1)}]
     for expr in ("s[2,1]", "P[2,1]+2*Q[1]", "Q[2,1]", "p[2]-s[1,1]"):
         fp = to_p(to_symfunc(parse(expr)))
         coeff_sets.append(fp.c)
         coeff_sets.append(convert(fp, "e").c)
-        coeff_sets.append({lam: c * (den2 if i % 2 else den3)
-                           for i, (lam, c) in enumerate(fp.c.items())})
+        rational.append({lam: c * (den2 if i % 2 else den3)
+                         for i, (lam, c) in enumerate(fp.c.items())})
+    for coeffs in rational:
+        with pytest.raises(ValueError, match="is not a polynomial in z1"):
+            _polynomial_coefficients(SymFunc("p", coeffs))
     rng = random.Random(13)
     D = 5
     for coeffs in coeff_sets:
@@ -1169,17 +1197,11 @@ def test_common_denominator_coefficients_equal_fraction_oracle():
                         == apply_coefficients_by_fractions(tables, scaled, D))
             # a term below z1^0 that nothing cancels: the same refusal,
             # naming the same coefficient
-            lam = next(lam for lam, c in coeffs.items()
-                       if rf_expand(c, 0)[0])
+            lam = next(lam for lam, c in coeffs.items() if c.num[0])
             tables[lam] = {(-1, 2): 5, (0, 1): 1}
             assert (_error(_apply_coefficients, tables, coeffs, D)
                     == _error(apply_coefficients_by_fractions, tables,
                               coeffs, D))
-    # a coefficient with a pole at z1 = 0: the same message
-    pole = {(1,): RationalFunction1.z_power(-1)}
-    tables = {(1,): {(0, 0): 1}}
-    assert (_error(_apply_coefficients, tables, pole, D)
-            == _error(apply_coefficients_by_fractions, tables, pole, D))
 
 
 def test_integral_coefficients_are_ints():

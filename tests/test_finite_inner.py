@@ -10,6 +10,7 @@ from hilbeuler.partitions import partitions_up_to
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import SymFunc, to_finite_vars
 from hilbeuler.xlaurent import XLaurent
+from symfunc_helpers import map_coeffs
 
 ONE_MINUS_Z = RationalFunction1((1, -1))
 
@@ -52,10 +53,10 @@ def brute_inner(f, g, n, order):
     """Expand the defining constant-term formula with the z-geometric
     factors truncated at the given order; returns z-series coefficients."""
     zp_one = ZPoly({0: 1}, order)
-    lhs = to_finite_vars(f, n).map_coeffs(
-        lambda r: ZPoly(dict(enumerate(r.expand(order))), order))
-    rhs = to_finite_vars(g, n, inverted=True).map_coeffs(
-        lambda r: ZPoly(dict(enumerate(r.expand(order))), order))
+    lhs = map_coeffs(to_finite_vars(f, n),
+                     lambda r: ZPoly(dict(enumerate(r.expand(order))), order))
+    rhs = map_coeffs(to_finite_vars(g, n, inverted=True),
+                     lambda r: ZPoly(dict(enumerate(r.expand(order))), order))
     prod = lhs * rhs
     for i, j in itertools.permutations(range(n), 2):
         u = [0] * n

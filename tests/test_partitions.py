@@ -4,7 +4,7 @@ import pytest
 
 from hilbeuler.partitions import (arm_leg, as_partition, cells, conjugate,
                                   contains, multiplicities, partitions_of,
-                                  partitions_up_to, size, zee)
+                                  partitions_up_to, zee)
 
 
 def part_multiplicity_partition(mu, n):
@@ -51,7 +51,7 @@ def test_conjugate():
     assert conjugate(()) == ()
     for mu in partitions_up_to(6):
         assert conjugate(conjugate(mu)) == mu
-        assert size(conjugate(mu)) == size(mu)
+        assert sum(conjugate(mu)) == sum(mu)
 
 
 def test_partitions_of():

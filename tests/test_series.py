@@ -303,14 +303,17 @@ def test_packed_nonnegative_polynomial_product_equals_pmul():
 
 
 def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
-    # z2-rows down to a = -off and byte-aligned slots, with slot values up
-    # to +-(2^(B-1) - 1), placed side by side with spare room; a shifted
-    # copy, z1^i z2^j times the table with i within the room, keeps its
-    # slots in their rows and is cut back to the window, and a z2-row times
-    # any z1^i is cut back to its window by cut_row
+    # z2-rows down to a = -off at slot widths that are not whole bytes, with
+    # slot values up to +-(2^(B-1) - 1), placed side by side with spare
+    # room; `read` takes them back from the rows as the slot-by-slot reader
+    # does from the placed table. A shifted copy, z1^i z2^j times the table
+    # with i within the room, keeps its slots in their rows and is cut back
+    # to the window, and a z2-row times any z1^i is cut back to its window
+    # by cut_row
     rng = random.Random(20)
-    for order, off, bits, spare in ((0, 0, 8, 0), (3, 2, 8, 3),
-                                    (4, 5, 16, 6)):
+    for order, off, bits, spare in ((0, 0, 8, 0), (3, 2, 7, 3),
+                                    (4, 5, 13, 6), (2, 1, 33, 2),
+                                    (5, 3, 61, 4)):
         layout = PackedLayout(order, bits, off, order + off + 1 + spare)
         top = (1 << (bits - 1)) - 1
         window = [(a, b) for a in range(-off, order + 1)
@@ -322,15 +325,17 @@ def test_packed_laurent_tables_round_trip_and_cut_shifted_copies():
             rows = [sum(v << bits * (a + off) for (a, c), v in table.items()
                         if c == b) for b in range(order + 1)]
             p = layout.place(rows)
-            assert layout.unpack_table(p) == table
+            assert layout.read(rows) == read_table(p, layout) == table
+            assert layout.read(layout.rows(p)) == table
             i, j = rng.randint(0, spare), rng.randint(0, order)
             shifted = {(a + i, b + j): v for (a, b), v in table.items()
                        if a + i <= order and b + j <= order}
             cut = layout.truncate(p << layout.shift(i, j))
-            assert layout.unpack_table(cut) == shifted
+            assert layout.read(layout.rows(cut)) == read_table(cut, layout) \
+                == shifted
             i = rng.randint(0, order + off + 1)
-            assert layout.unpack_table(layout.place(
-                [layout.cut_row(row << bits * i) for row in rows])) == {
+            assert layout.read([layout.cut_row(row << bits * i)
+                                for row in rows]) == {
                 (a + i, b): v for (a, b), v in table.items()
                 if a + i <= order}
     with pytest.raises(AssertionError, match="row room"):
