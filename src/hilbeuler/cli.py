@@ -373,6 +373,9 @@ def main(argv=None):
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: invalid: %s\n" % exc)
         return 2
+    except MemoryError:
+        sys.stderr.write("error: memory: out of memory\n")
+        return 2
 
 
 if __name__ == "__main__":

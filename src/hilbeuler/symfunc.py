@@ -6,12 +6,16 @@ p, and a coefficient is read back as a pairing with the dual basis: the
 coefficient of b_lam in f is <f, b*_lam>, where s* = s, m* = h, h* = m and
 e* = omega m under the Hall inner product (Macdonald I (4.5)-(4.8)), and
 P* = Q, Q* = P under the Hall-Littlewood one (Macdonald III (4.9)).
+m_lam is expanded in p by the same duality: Newton's identity gives p_r in
+the h-basis in closed form (Macdonald I.2), and the coefficient of p_k in
+m_lam is [h_lam] p_k / zee(k). No matrix is inverted or solved.
 Coefficients are RationalFunction1 values in the Hall-Littlewood
 parameter z.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .partitions import partitions_of, zee, as_partition
 from .ratfunc import RationalFunction1, RF0, RF1
@@ -120,54 +124,35 @@ class SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# p <-> m transition
+# m in p, by duality from Newton's identity
 
 @lru_cache(maxsize=None)
-def _assignment_count(parts, caps):
-    """Number of ways to assign each part to a capacity slot, exactly filling
-    every slot. `caps` is a sorted multiset of remaining capacities."""
-    if not parts:
-        return 1 if all(c == 0 for c in caps) else 0
-    p, rest = parts[0], parts[1:]
-    total = 0
-    for v in sorted(set(caps), reverse=True):
-        if v < p:
-            continue
-        mult = caps.count(v)
-        reduced = list(caps)
-        reduced.remove(v)
-        reduced.append(v - p)
-        total += mult * _assignment_count(rest, tuple(sorted(reduced)))
-    return total
+def _p_r_in_h(r):
+    """p_r in the h-basis by Newton's identity P(t) = H'(t)/H(t) (Macdonald
+    I.2): the coefficient of h_rho is (-1)^(l-1) r (l-1)! / prod_i m_i(rho)!
+    with l = len(rho)."""
+    return {rho: Fraction((-1) ** (len(rho) - 1) * r * factorial(len(rho) - 1),
+                          prod(factorial(rho.count(i)) for i in set(rho)))
+            for rho in partitions_of(r)}
 
 
 @lru_cache(maxsize=None)
-def p_in_m_matrix(d):
-    """Coefficient of m_mu in p_lam, for all lam, mu of degree d."""
-    _check_degree(d)
-    parts = partitions_of(d)
-    out = {}
-    for lam in parts:
-        row = {}
-        for mu in parts:
-            cnt = _assignment_count(lam, tuple(sorted(mu)))
-            if cnt:
-                row[mu] = Fraction(cnt)
-        out[lam] = row
+def _p_in_h(k):
+    """p_k in the h-basis: the product of p_r over the parts r of k."""
+    out = {(): Fraction(1)}
+    for part in k:
+        out = _pdict_mul(out, _p_r_in_h(part))
     return out
 
 
 @lru_cache(maxsize=None)
 def m_in_p(lam):
-    """m_lam in the p-basis. p_lam is prod_i m_i(lam)! m_lam plus c_mu m_mu
-    over partitions mu coarser than lam (its row of `p_in_m_matrix`), so
-    m_lam follows once each coarser m_mu is solved."""
-    row = p_in_m_matrix(sum(lam))[lam]
-    out = {lam: Fraction(1)}
-    for mu, c in row.items():
-        if mu != lam:
-            add_terms(out, ((k, -c * v) for k, v in m_in_p(mu).items()))
-    return {k: v / row[lam] for k, v in out.items()}
+    """m_lam in the p-basis. Since h* = m, the coefficient of p_k is
+    <m_lam, p_k> / zee(k) = [h_lam] p_k / zee(k)."""
+    d = sum(lam)
+    _check_degree(d)
+    return {k: _p_in_h(k)[lam] / zee(k) for k in partitions_of(d)
+            if lam in _p_in_h(k)}
 
 
 # ---------------------------------------------------------------------------

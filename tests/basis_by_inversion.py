@@ -7,6 +7,11 @@ over Fractions (the m-basis inverted `p_in_m_matrix`), e_lam was a product
 of signed e_k expansions, and the P and Q bases paired each homogeneous
 component with Q_lam, dividing by b_lam for Q. The tests use it as the
 oracle for the pairing rule: both must give equal coefficients.
+
+It also keeps how `hilbeuler.symfunc.m_in_p` expanded m_lam in p before it
+read the coefficients from Newton's identity: `p_in_m_matrix` counted the
+ways to fill the parts of mu with the parts of lam, and `m_in_p_by_solve`
+solved that matrix as a triangular system.
 """
 
 from fractions import Fraction
@@ -15,8 +20,57 @@ from functools import lru_cache
 from hilbeuler.hall_littlewood import b_norm, hl_Q
 from hilbeuler.partitions import partitions_of, zee
 from hilbeuler.symfunc import (SymFunc, _check_degree, _merge, hl_inner,
-                               p_in_m_matrix, s_in_p, to_p)
+                               s_in_p, to_p)
 from hilbeuler.xlaurent import add_terms
+
+
+@lru_cache(maxsize=None)
+def _assignment_count(parts, caps):
+    """Number of ways to assign each part to a capacity slot, exactly filling
+    every slot. `caps` is a sorted multiset of remaining capacities."""
+    if not parts:
+        return 1 if all(c == 0 for c in caps) else 0
+    p, rest = parts[0], parts[1:]
+    total = 0
+    for v in sorted(set(caps), reverse=True):
+        if v < p:
+            continue
+        mult = caps.count(v)
+        reduced = list(caps)
+        reduced.remove(v)
+        reduced.append(v - p)
+        total += mult * _assignment_count(rest, tuple(sorted(reduced)))
+    return total
+
+
+@lru_cache(maxsize=None)
+def p_in_m_matrix(d):
+    """Coefficient of m_mu in p_lam, for all lam, mu of degree d."""
+    _check_degree(d)
+    parts = partitions_of(d)
+    out = {}
+    for lam in parts:
+        row = {}
+        for mu in parts:
+            cnt = _assignment_count(lam, tuple(sorted(mu)))
+            if cnt:
+                row[mu] = Fraction(cnt)
+        out[lam] = row
+    return out
+
+
+@lru_cache(maxsize=None)
+def m_in_p_by_solve(lam):
+    """m_lam in the p-basis. p_lam is prod_i m_i(lam)! m_lam plus c_mu m_mu
+    over partitions mu coarser than lam (its row of `p_in_m_matrix`), so
+    m_lam follows once each coarser m_mu is solved."""
+    row = p_in_m_matrix(sum(lam))[lam]
+    out = {lam: Fraction(1)}
+    for mu, c in row.items():
+        if mu != lam:
+            add_terms(out, ((k, -c * v)
+                            for k, v in m_in_p_by_solve(mu).items()))
+    return {k: v / row[lam] for k, v in out.items()}
 
 
 def _invert_matrix(mat, keys):

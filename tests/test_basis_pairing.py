@@ -2,10 +2,12 @@
 matrix inversion it replaced (`basis_by_inversion`): every conversion
 must give the same coefficients, exactly."""
 
+import pytest
+
 from hilbeuler.hall_littlewood import expand_in_P, hl_P
 from hilbeuler.partitions import partitions_of, partitions_up_to
-from hilbeuler.symfunc import (BASES, SymFunc, convert, hl_inner, m_in_p,
-                               p_in_m_matrix, to_p)
+from hilbeuler.symfunc import (BASES, DEGREE_BOUND, DegreeBoundError,
+                               SymFunc, convert, hl_inner, m_in_p, to_p)
 from hilbeuler.xlaurent import add_terms
 import basis_by_inversion as oracle
 from symfunc_helpers import parse_symfunc
@@ -50,9 +52,21 @@ def test_parameter_dependent_sums_in_every_basis():
 def test_m_in_p_is_the_inverse_of_p_in_m_matrix():
     for d in range(9):
         keys = tuple(partitions_of(d))
-        inverse = oracle._invert_matrix(p_in_m_matrix(d), keys)
+        inverse = oracle._invert_matrix(oracle.p_in_m_matrix(d), keys)
         for lam in keys:
             assert m_in_p(lam) == inverse[lam], lam
+
+
+def test_m_in_p_equals_the_triangular_solve_up_to_the_degree_bound():
+    lams = partitions_up_to(DEGREE_BOUND)
+    assert len(lams) == 272
+    for lam in lams:
+        assert m_in_p(lam) == oracle.m_in_p_by_solve(lam), lam
+
+
+def test_m_in_p_past_the_degree_bound_raises():
+    with pytest.raises(DegreeBoundError):
+        m_in_p((DEGREE_BOUND + 1,))
 
 
 def q_coefficients_by_P_pairing(f):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hilbeuler
-from hilbeuler import euler, ratfunc
+from hilbeuler import cli, euler, ratfunc
 from hilbeuler.cli import _coeff_str, build_parser, main, symfunc_str
 from hilbeuler.symfunc import SymFunc, convert
 from hilbeuler.hall_littlewood import hl_P
@@ -191,6 +191,21 @@ def test_chi_guard_error(capsys):
                              "--max-deg", "1")
     assert code == 2
     assert err.startswith("error: guard:")
+
+
+def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # exit 1 means a failed verification, so a MemoryError must not reach
+    # the interpreter's handler; the stand-ins raise without allocating
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate", out_of_memory)
+    monkeypatch.setattr(cli, "cross_check", out_of_memory)
+    for method in ("theorem", "localization", "constant-term", "all"):
+        code, out, err = run_cli(capsys, "chi", "--f", "s[1]", "--n", "2",
+                                 "--max-deg", "1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "error: memory: out of memory\n"
 
 
 def test_chi_constant_term_guard_names_no_cli_option(capsys):
