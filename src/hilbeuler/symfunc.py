@@ -8,13 +8,14 @@ e* = omega m under the Hall inner product (Macdonald I (4.5)-(4.8)), and
 P* = Q, Q* = P under the Hall-Littlewood one (Macdonald III (4.9)).
 m_lam is expanded in p by the same duality: Newton's identity gives p_r in
 the h-basis in closed form (Macdonald I.2), and the coefficient of p_k in
-m_lam is [h_lam] p_k / zee(k). No matrix is inverted or solved.
-Coefficients are RationalFunction1 values in the Hall-Littlewood
-parameter z.
+m_lam is [h_lam] p_k / zee(k). s_lam is read from characters by the
+Murnaghan-Nakayama rule (Macdonald I.7). No matrix is inverted or solved.
+hl_inner divides once per degree. Coefficients are RationalFunction1
+values in the Hall-Littlewood parameter z.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, prod
 
 from .partitions import partitions_of, zee, as_partition
@@ -139,10 +140,7 @@ def _p_r_in_h(r):
 @lru_cache(maxsize=None)
 def _p_in_h(k):
     """p_k in the h-basis: the product of p_r over the parts r of k."""
-    out = {(): Fraction(1)}
-    for part in k:
-        out = _pdict_mul(out, _p_r_in_h(part))
-    return out
+    return reduce(_pdict_mul, map(_p_r_in_h, k), {(): Fraction(1)})
 
 
 @lru_cache(maxsize=None)
@@ -186,45 +184,34 @@ def _in_p(basis, lam):
         return s_in_p(lam)
     if basis == "e":
         return _omega(_in_p("h", lam))
-    out = {(): Fraction(1)}
-    for part in lam:
-        out = _pdict_mul(out, h_in_p(part))
-    return out
+    return reduce(_pdict_mul, map(h_in_p, lam), {(): Fraction(1)})
 
 
 @lru_cache(maxsize=None)
-def _jacobi_trudi_h(lam):
-    """Schur s_lam as a signed sum of h products: dict h-partition -> int."""
-    n = len(lam)
-    if n == 0:
-        return {(): 1}
-
-    # determinant of (h_{lam_i - i + j}) via memoized expansion over rows
-    @lru_cache(maxsize=None)
-    def det(row, cols):
-        if row == n:
-            return {(): 1}
-        out = {}
-        for ci, col in enumerate(cols):
-            idx = lam[row] - row + col
-            if idx < 0:
-                continue
-            sign = -1 if ci % 2 else 1
-            sub = det(row + 1, cols[:ci] + cols[ci + 1:])
-            add_terms(out, ((_merge(k, (idx,) if idx > 0 else ()), sign * v)
-                            for k, v in sub.items()))
-        return out
-
-    return det(0, tuple(range(n)))
+def _character(beta, kappa):
+    """chi^lam(kappa), the irreducible character of S_|lam| at cycle type
+    kappa, by the Murnaghan-Nakayama rule (Macdonald I.7). lam is given by
+    its beta-set, the ascending tuple of lam_i + len(lam) - i. A rim hook of
+    length r = kappa_1 moves one bead b to an empty position b - r >= 0,
+    with sign (-1) to the number of beads strictly between them."""
+    if not kappa:
+        return 1
+    r, rest, total = kappa[0], kappa[1:], 0
+    for i, b in enumerate(beta):
+        if b >= r and b - r not in beta:
+            legs = sum(b - r < c < b for c in beta)
+            moved = tuple(sorted(beta[:i] + (b - r,) + beta[i + 1:]))
+            total += (-1) ** legs * _character(moved, rest)
+    return total
 
 
 @lru_cache(maxsize=None)
 def s_in_p(lam):
-    out = {}
-    for hkey, coef in _jacobi_trudi_h(lam).items():
-        add_terms(out, ((k, coef * v)
-                        for k, v in _in_p("h", hkey).items()))
-    return out
+    """s_lam in the p-basis: the coefficient of p_k is chi^lam(k) / zee(k)
+    (Macdonald I (7.8))."""
+    beta = tuple(part + i for i, part in enumerate(reversed(lam)))
+    return {k: Fraction(chi, zee(k)) for k in partitions_of(sum(lam))
+            if (chi := _character(beta, k))}
 
 
 #: the dual of each classical basis under the Hall inner product; that of
@@ -315,24 +302,37 @@ def multiply(f, g):
 
 
 @lru_cache(maxsize=None)
-def _p_norm(lam):
-    """(p_lam, p_lam)_z = zee(lam) * prod_i (1 - z^{lam_i})^{-1}."""
-    r = RationalFunction1.const(zee(lam))
-    for part in lam:
-        r = r / RationalFunction1([1] + [0] * (part - 1) + [-1])
-    return r
+def _q_factorial(d):
+    """(z; z)_d = prod_{j <= d} (1 - z^j), an integer polynomial."""
+    return prod((RF1 - RationalFunction1.z_power(j) for j in range(1, d + 1)),
+                start=RF1)
+
+
+@lru_cache(maxsize=None)
+def _p_norm_numerator(k):
+    """(p_k, p_k)_z (z; z)_|k|, where (p_k, p_k)_z = zee(k) / prod_i
+    (1 - z^{k_i}): an integer polynomial, since (z; z)_|k| / prod_i
+    (z; z)_{k_i} is a q-multinomial coefficient."""
+    num = list(_q_factorial(sum(k)).num)
+    for part in k:
+        # divide by 1 - z^part as a power series, q_i = p_i + q_{i-part};
+        # the quotient is a polynomial iff its top part terms vanish
+        for i in range(part, len(num)):
+            num[i] += num[i - part]
+        assert not any(num[len(num) - part:]), k
+        del num[len(num) - part:]
+    return zee(k) * RationalFunction1(num)
 
 
 def hl_inner(f, g):
-    """Hall-Littlewood inner product in infinitely many variables."""
+    """Hall-Littlewood inner product in infinitely many variables. The
+    terms of each degree d are summed over the common denominator
+    (z; z)_d, which divides their sum once."""
     fp, gp = to_p(f), to_p(g)
-    acc = RF0
-    small, big = (fp, gp) if len(fp.c) <= len(gp.c) else (gp, fp)
-    for k, v in small.c.items():
-        w = big.c.get(k)
-        if w:
-            acc = acc + v * w * _p_norm(k)
-    return acc
+    sums = {}
+    for k in fp.c.keys() & gp.c.keys():
+        add_terms(sums, [(sum(k), fp.c[k] * gp.c[k] * _p_norm_numerator(k))])
+    return sum((num / _q_factorial(d) for d, num in sums.items()), RF0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +365,6 @@ def schur_positive(f):
         fs = convert(f, "s")
     except DegreeBoundError:
         return False
-    for v in fs.c.values():
-        if not v.is_polynomial() or len(v.num) > 1:
-            return False
-        c = Fraction(v.num[0], v.den[0])
-        if c < 0 or c.denominator != 1:
-            return False
-    return True
+    # a nonnegative integer is a normalised constant over (1,)
+    return all(v.den == (1,) and len(v.num) == 1 and v.num[0] >= 0
+               for v in fs.c.values())

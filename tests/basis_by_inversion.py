@@ -12,6 +12,13 @@ It also keeps how `hilbeuler.symfunc.m_in_p` expanded m_lam in p before it
 read the coefficients from Newton's identity: `p_in_m_matrix` counted the
 ways to fill the parts of mu with the parts of lam, and `m_in_p_by_solve`
 solved that matrix as a triangular system.
+
+And it keeps how `hilbeuler.symfunc.s_in_p` expanded s_lam in p before it
+read the coefficients from characters by the Murnaghan-Nakayama rule: the
+Jacobi-Trudi determinant det(h_{lam_i - i + j}) as a signed sum of h
+products (`_jacobi_trudi_h`), each product expanded in p
+(`s_in_p_by_jacobi_trudi`). The s-rows of `_basis_in_p_matrix` come from
+it.
 """
 
 from fractions import Fraction
@@ -20,7 +27,7 @@ from functools import lru_cache
 from hilbeuler.hall_littlewood import b_norm, hl_Q
 from hilbeuler.partitions import partitions_of, zee
 from hilbeuler.symfunc import (SymFunc, _check_degree, _merge, hl_inner,
-                               s_in_p, to_p)
+                               to_p)
 from hilbeuler.xlaurent import add_terms
 
 
@@ -126,6 +133,42 @@ def _prod_in_p(kind, lam):
 
 
 @lru_cache(maxsize=None)
+def _jacobi_trudi_h(lam):
+    """Schur s_lam as a signed sum of h products: dict h-partition -> int."""
+    n = len(lam)
+    if n == 0:
+        return {(): 1}
+
+    # determinant of (h_{lam_i - i + j}) via memoized expansion over rows
+    @lru_cache(maxsize=None)
+    def det(row, cols):
+        if row == n:
+            return {(): 1}
+        out = {}
+        for ci, col in enumerate(cols):
+            idx = lam[row] - row + col
+            if idx < 0:
+                continue
+            sign = -1 if ci % 2 else 1
+            sub = det(row + 1, cols[:ci] + cols[ci + 1:])
+            add_terms(out, ((_merge(k, (idx,) if idx > 0 else ()), sign * v)
+                            for k, v in sub.items()))
+        return out
+
+    return det(0, tuple(range(n)))
+
+
+@lru_cache(maxsize=None)
+def s_in_p_by_jacobi_trudi(lam):
+    """s_lam in the p-basis, from its Jacobi-Trudi determinant in h."""
+    out = {}
+    for hkey, coef in _jacobi_trudi_h(lam).items():
+        add_terms(out, ((k, coef * v)
+                        for k, v in _prod_in_p("h", hkey).items()))
+    return out
+
+
+@lru_cache(maxsize=None)
 def _basis_in_p_matrix(basis, d):
     """Expansion of every degree-d element of a classical basis in p."""
     keys = tuple(partitions_of(d))
@@ -134,7 +177,7 @@ def _basis_in_p_matrix(basis, d):
     if basis == "e":
         return {k: _prod_in_p("e", k) for k in keys}
     if basis == "s":
-        return {k: s_in_p(k) for k in keys}
+        return {k: s_in_p_by_jacobi_trudi(k) for k in keys}
     if basis == "m":
         return _invert_matrix(p_in_m_matrix(d), keys)
     raise ValueError(basis)

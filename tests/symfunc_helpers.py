@@ -2,14 +2,17 @@
 principal specialization as independent checks on the symmetric-function
 layer, the parameter specialization f|_{z = value} with the value of a
 rational function at a point, the degree of a symmetric function, a
-coefficient map of x-Laurent polynomials, `parse_symfunc`, and three
-plethystic arguments for the vertex-operator identities."""
+coefficient map of x-Laurent polynomials, `parse_symfunc`, three
+plethystic arguments for the vertex-operator identities, and the
+Hall-Littlewood inner product summed term by term (`hl_inner_by_terms`),
+as `hilbeuler.symfunc.hl_inner` computed it before it summed each degree
+over one common denominator."""
 
 from fractions import Fraction
 
 from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.partitions import zee
-from hilbeuler.ratfunc import RF1, RationalFunction1
+from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import SymFunc, to_p
 from hilbeuler.xlaurent import XLaurent
 
@@ -101,3 +104,23 @@ def principal_spec(f, order):
         for i in range(order + 1):
             out[i] += c * term[i]
     return out
+
+
+def _p_norm(lam):
+    """(p_lam, p_lam)_z = zee(lam) * prod_i (1 - z^{lam_i})^{-1}."""
+    r = RationalFunction1.const(zee(lam))
+    for part in lam:
+        r = r / RationalFunction1([1] + [0] * (part - 1) + [-1])
+    return r
+
+
+def hl_inner_by_terms(f, g):
+    """The Hall-Littlewood inner product as one RationalFunction1 sum over
+    the common p_k, each term over its own denominator."""
+    fp, gp = to_p(f), to_p(g)
+    acc = RF0
+    for k, v in fp.c.items():
+        w = gp.c.get(k)
+        if w:
+            acc = acc + v * w * _p_norm(k)
+    return acc

@@ -5,9 +5,10 @@ must give the same coefficients, exactly."""
 import pytest
 
 from hilbeuler.hall_littlewood import expand_in_P, hl_P
-from hilbeuler.partitions import partitions_of, partitions_up_to
+from hilbeuler.partitions import partitions_of, partitions_up_to, zee
 from hilbeuler.symfunc import (BASES, DEGREE_BOUND, DegreeBoundError,
-                               SymFunc, convert, hl_inner, m_in_p, to_p)
+                               SymFunc, _p_in_basis_matrix, convert,
+                               hl_inner, m_in_p, s_in_p, to_p)
 from hilbeuler.xlaurent import add_terms
 import basis_by_inversion as oracle
 from symfunc_helpers import parse_symfunc
@@ -67,6 +68,30 @@ def test_m_in_p_equals_the_triangular_solve_up_to_the_degree_bound():
 def test_m_in_p_past_the_degree_bound_raises():
     with pytest.raises(DegreeBoundError):
         m_in_p((DEGREE_BOUND + 1,))
+
+
+def test_s_in_p_equals_the_jacobi_trudi_determinant_up_to_the_degree_bound():
+    lams = partitions_up_to(DEGREE_BOUND)
+    assert len(lams) == 272
+    for lam in lams:
+        assert s_in_p(lam) == oracle.s_in_p_by_jacobi_trudi(lam), lam
+
+
+def test_s_rows_hold_orthogonal_integer_characters():
+    # the coefficient of s_lam in p_k is the character chi^lam(k), and the
+    # column orthogonality sum_lam chi^lam(k)^2 = zee(k) holds
+    for d in range(9):
+        mat = _p_in_basis_matrix("s", d)
+        for k, row in mat.items():
+            assert all(v.denominator == 1 for v in row.values()), k
+            assert sum(v * v for v in row.values()) == zee(k), k
+
+
+def test_s_past_the_degree_bound_raises():
+    with pytest.raises(DegreeBoundError):
+        to_p(SymFunc.element("s", (7, 6)))
+    with pytest.raises(DegreeBoundError):
+        _p_in_basis_matrix("s", DEGREE_BOUND + 1)
 
 
 def q_coefficients_by_P_pairing(f):

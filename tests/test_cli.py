@@ -100,6 +100,20 @@ def test_chi_all_does_not_require_symmetry_for_hall_littlewood_atoms(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("f, table", [
+    ("m[9,2]", "0   0 0\n1   0 1\n"),
+    ("s[4,4,4]", "0   0 0\n1   0 0\n"),
+])
+def test_chi_all_at_degree_eleven_and_twelve(capsys, f, table):
+    # --method all converts f to s for its Schur-positivity check
+    code, out, err = run_cli(capsys, "chi", "--f", f, "--n", "2",
+                             "--max-deg", "1", "--method", "all")
+    assert (code, err) == (0, "")
+    assert out == ("chi_2(%s), coefficients of z1^a z2^b for a,b <= 1 "
+                   "(method: all)\nb\\a 0 1\n%sagreement: MATCH\n"
+                   % (f, table))
+
+
 def test_chi_parse_error(capsys):
     code, out, err = run_cli(capsys, "chi", "--f", "s[1,2]", "--n", "1")
     assert code == 2

@@ -8,7 +8,8 @@ from hilbeuler.ratfunc import RF1, RationalFunction1
 from hilbeuler.symfunc import (DEGREE_BOUND, DegreeBoundError, SymFunc,
                                convert, hl_inner, multiply, schur_positive,
                                to_finite_vars, to_p)
-from symfunc_helpers import hall_inner, principal_spec
+from symfunc_helpers import (hall_inner, hl_inner_by_terms, parse_symfunc,
+                             principal_spec)
 
 CLASSICAL = ("p", "m", "h", "e", "s")
 
@@ -79,6 +80,19 @@ def test_hl_inner():
         RationalFunction1((1, 0, -1))
 
 
+def test_hl_inner_equals_the_term_by_term_sum():
+    for d in range(6):
+        atoms = [SymFunc.element(b, lam) for b in ("s", "P", "Q")
+                 for lam in partitions_of(d)]
+        for f in atoms:
+            for g in atoms:
+                assert hl_inner(f, g) == hl_inner_by_terms(f, g), (f, g)
+    for f, g in ((SymFunc.element("e", (8,)), SymFunc.element("s", (8,))),
+                 (parse_symfunc("P[2,1]+s[1]+2"),
+                  parse_symfunc("Q[2,1]-p[1]+s[3]+1"))):
+        assert hl_inner(f, g) == hl_inner_by_terms(f, g), (f, g)
+
+
 def test_dual_bases_at_z0():
     for d in range(6):
         for lam in partitions_of(d):
@@ -131,6 +145,10 @@ def test_schur_positive():
     assert schur_positive(SymFunc.one("s"))
     assert not schur_positive(SymFunc.element("p", (2,)))
     assert not schur_positive(-SymFunc.element("s", (1,)))
+    # a fraction, a coefficient in z, and a degree past the bound
+    assert not schur_positive(SymFunc("s", {(1,): Fraction(1, 2)}))
+    assert not schur_positive(SymFunc.element("P", (2,)))
+    assert not schur_positive(SymFunc.element("h", (13,)))
 
 
 def test_linear_structure_random():
