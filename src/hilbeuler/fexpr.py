@@ -20,7 +20,7 @@ import re
 from collections import namedtuple
 
 from .partitions import as_partition
-from .symfunc import SymFunc, to_p
+from .symfunc import SymFunc, _check_degree, to_p
 
 
 class ParseError(ValueError):
@@ -161,15 +161,29 @@ def _render(tree, parent_prec):
 
 def to_symfunc(tree):
     """Evaluate a parsed expression to a symmetric function in the p-basis;
-    each atom is converted as it is read, so every operand is in it."""
+    each atom is converted as it is read, so every operand is in it. The
+    degree of every atom is checked against DEGREE_BOUND first, before any
+    is converted."""
+    for atom in _atoms(tree):
+        _check_degree(sum(atom.parts))
+    return _evaluate(tree)
+
+
+def _atoms(tree):
+    if isinstance(tree, BinOp):
+        return _atoms(tree.left) + _atoms(tree.right)
+    return [tree] if isinstance(tree, Atom) else []
+
+
+def _evaluate(tree):
     if isinstance(tree, Lit):
         return SymFunc.one().scale(tree.value)
     if isinstance(tree, Atom):
         if not tree.parts:
             return SymFunc.one()
         return to_p(SymFunc.element(tree.basis, tree.parts))
-    left = to_symfunc(tree.left)
-    right = to_symfunc(tree.right)
+    left = _evaluate(tree.left)
+    right = _evaluate(tree.right)
     if tree.op == "+":
         return left + right
     if tree.op == "-":

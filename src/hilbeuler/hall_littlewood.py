@@ -1,54 +1,24 @@
 """Hall-Littlewood structural layer.
 
-Half vertex operators, Jing's vertex operator, the P/Q bases, norm factors,
-matrix elements of multiplication operators, Pieri coefficients (the exact
-e-Pieri rule on partitions of bounded length among them), the k-exponent of
-the main summation formula, and its defining identity checker.
+Jing's vertex operator and the P/Q bases, norm factors, matrix elements of
+multiplication operators, Pieri coefficients (the exact e-Pieri rule on
+partitions of bounded length among them), the k-exponent of the main
+summation formula, and its defining identity checker. Jing's operator
+keeps every p-coefficient a polynomial in z over one integer, and P_lam =
+Q_lam / b_lam divides each numerator exactly (P_lam has polynomial
+coefficients, Macdonald III.2), so no polynomial gcd is taken here.
 """
 
 from collections import namedtuple
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 from .partitions import (as_partition, conjugate, contains, multiplicities,
                          partitions_of, zee)
-from .ratfunc import RF0, RF1, RationalFunction1
+from .ratfunc import RF0, RationalFunction1, pdiv_one_minus, pmul_one_minus
 from .symfunc import (SymFunc, _check_degree, from_p, hl_inner, multiply,
-                      to_p)
+                      to_p, z_bracket)
 from .xlaurent import add_terms
-
-# ---------------------------------------------------------------------------
-# plethystic arguments
-#
-# An argument is a finite formal sum of monomials x^e * c(z), stored as a
-# tuple of (x-exponent, coefficient) pairs. The k-th Adams evaluation
-# substitutes x -> x^k and z -> z^k in every monomial.
-
-
-def adams(arg, k):
-    """Evaluation of every symbol at its k-th power."""
-    return tuple((e * k, coef.subs_power(k)) for e, coef in arg)
-
-
-def gamma_plus(arg, f):
-    """The ring homomorphism p_k -> p_k + A_k, graded by x-degree."""
-    fp = to_p(f)
-    out = {}
-    for lam, cf in fp.c.items():
-        # states: (x-degree, kept parts tuple) -> coefficient
-        states = {(0, ()): cf}
-        for part in lam:
-            nxt = {}
-            ak = adams(arg, part)
-            for (xd, kept), coef in states.items():
-                add_terms(nxt, [((xd, kept + (part,)), coef)]
-                          + [((xd + e, kept), coef * c) for e, c in ak])
-            states = nxt
-        for (xd, kept), coef in states.items():
-            add_terms(out.setdefault(xd, SymFunc("p")).c,
-                      [(tuple(sorted(kept, reverse=True)), coef)])
-    return {xd: g for xd, g in out.items() if g}
-
 
 # ---------------------------------------------------------------------------
 # Jing's vertex operator and the P/Q bases
@@ -61,25 +31,36 @@ def hl_q_row(m):
     _check_degree(m)
     out = SymFunc("p")
     for kappa in partitions_of(m):
-        coef = RF1
-        for part in kappa:
-            coef = coef * RationalFunction1((1,) + (0,) * (part - 1) + (-1,))
-        out.c[kappa] = coef / zee(kappa)
+        out.c[kappa] = (RationalFunction1(pmul_one_minus((1,), kappa))
+                        / zee(kappa))
     return out
 
 
-_ARG_NEG_X_INV = ((-1, RationalFunction1((-1,))),)
+def lowering_half(f):
+    """The lowering half Gamma_+(-1/x) of Jing's operator on f, as {r: the
+    coefficient of x^-r, in p}: the homomorphism p_k -> p_k - x^-k keeps
+    each part of p_lam or turns it into -x^-part, so of m parts equal to i,
+    turning j gives the integer (-1)^j binom(m, j) at r raised by i j."""
+    out = {}
+    for lam, cf in to_p(f).c.items():
+        # (kept parts, r, integer factor), the part values taken descending
+        terms = [((), 0, 1)]
+        for part, m in reversed(multiplicities(lam, len(lam))):
+            terms = [(kept + (part,) * (m - j), r + part * j,
+                      n * (-1) ** j * comb(m, j))
+                     for kept, r, n in terms for j in range(m + 1)]
+        for kept, r, n in terms:
+            add_terms(out.setdefault(r, SymFunc("p")).c, [(kept, cf * n)])
+    return out
 
 
 def jing_J(k, f):
-    """Jing's vertex operator component J_k applied to f."""
-    graded = gamma_plus(_ARG_NEG_X_INV, f)
+    """Jing's vertex operator component J_k applied to f: the raising
+    half's x^(k+r) row times the lowering half's x^-r coefficient."""
     out = SymFunc("p")
-    for xd, gi in graded.items():
-        m = k + (-xd)
-        if m < 0:
-            continue
-        out = out + multiply(hl_q_row(m), gi)
+    for r, g in lowering_half(f).items():
+        if k + r >= 0:
+            add_terms(out.c, multiply(hl_q_row(k + r), g).c.items())
     return out
 
 
@@ -94,27 +75,26 @@ def hl_Q(lam):
     return jing_J(lam[0], f)
 
 
+def _b_factors(lam):
+    """The j of each factor 1 - z^j of b_lam: 1..m_i(lam) for each part
+    value i >= 1."""
+    lam = as_partition(lam)
+    return [j for i, m in multiplicities(lam, len(lam)) if i
+            for j in range(1, m + 1)]
+
+
 @lru_cache(maxsize=None)
 def hl_P(lam):
-    lam = as_partition(lam)
-    return hl_Q(lam).scale(RF1 / b_norm(lam))
-
-
-def z_bracket(k):
-    """[k]_z = prod_{1<=j<=k} (1 - z^j)."""
-    r = RF1
-    for j in range(1, k + 1):
-        r = r * RationalFunction1((1,) + (0,) * (j - 1) + (-1,))
-    return r
+    """P_lam = Q_lam / b_lam, each p-coefficient's numerator divided
+    exactly."""
+    ks = _b_factors(lam)
+    return SymFunc("p", {k: RationalFunction1(pdiv_one_minus(v.num, ks), v.den)
+                         for k, v in hl_Q(as_partition(lam)).c.items()})
 
 
 def b_norm(lam):
     """b_lam(z) = prod over part values i >= 1 of [m_i(lam)]_z."""
-    lam = as_partition(lam)
-    r = RF1
-    for _, m in multiplicities(lam, len(lam)):
-        r = r * z_bracket(m)
-    return r
+    return RationalFunction1(pmul_one_minus((1,), _b_factors(lam)))
 
 
 def b_norm_finite(lam, n):

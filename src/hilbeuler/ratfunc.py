@@ -92,15 +92,30 @@ def pgcd(a, b):
     return ptrim([Fraction(c) / lead for c in a])
 
 
-def psubs_power(p, k):
-    """Substitute z -> z^k."""
-    if k == 1:
-        return ptrim(p)
-    out = [0] * ((len(p) - 1) * k + 1)
-    for i, c in enumerate(p):
-        if c:
-            out[i * k] = c
-    return ptrim(out)
+def pmul_one_minus(p, ks):
+    """p * prod_{k in ks} (1 - z^k): per factor q_i = p_i - p_{i-k}."""
+    q = list(p)
+    for k in ks:
+        q += [0] * k
+        for i in range(len(q) - 1, k - 1, -1):
+            q[i] -= q[i - k]
+    return ptrim(q)
+
+
+def pdiv_one_minus(p, ks):
+    """p / prod_{k in ks} (1 - z^k), for an integer polynomial p that the
+    product divides. Each factor is a running sum q_i = p_i + q_{i-k}, the
+    power series of p / (1 - z^k); it is a polynomial iff its top k terms
+    vanish, and a ValueError is raised otherwise."""
+    q = list(p)
+    for k in ks:
+        for i in range(k, len(q)):
+            q[i] += q[i - k]
+        top = max(len(q) - k, 0)
+        if any(q[top:]):
+            raise ValueError("%r is not divisible by 1 - z^%d" % (p, k))
+        del q[top:]
+    return ptrim(q)
 
 
 class RationalFunction1:
@@ -235,11 +250,6 @@ class RationalFunction1:
     # -- queries -------------------------------------------------------------
     def is_polynomial(self):
         return pdegree(self.den) == 0
-
-    def subs_power(self, k):
-        """Substitute z -> z^k."""
-        return RationalFunction1(psubs_power(self.num, k),
-                                 psubs_power(self.den, k))
 
     def expand(self, order):
         """Taylor coefficients c_0..c_order about the origin.

@@ -19,7 +19,8 @@ from functools import lru_cache, reduce
 from math import factorial, prod
 
 from .partitions import partitions_of, zee, as_partition
-from .ratfunc import RationalFunction1, RF0, RF1
+from .ratfunc import (RationalFunction1, RF0, RF1, pdiv_one_minus,
+                      pmul_one_minus)
 from .xlaurent import XLaurent, add_terms
 
 BASES = ("p", "m", "h", "e", "s", "P", "Q")
@@ -302,10 +303,9 @@ def multiply(f, g):
 
 
 @lru_cache(maxsize=None)
-def _q_factorial(d):
-    """(z; z)_d = prod_{j <= d} (1 - z^j), an integer polynomial."""
-    return prod((RF1 - RationalFunction1.z_power(j) for j in range(1, d + 1)),
-                start=RF1)
+def z_bracket(d):
+    """[d]_z = (z; z)_d = prod_{1 <= j <= d} (1 - z^j)."""
+    return RationalFunction1(pmul_one_minus((1,), range(1, d + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -313,15 +313,8 @@ def _p_norm_numerator(k):
     """(p_k, p_k)_z (z; z)_|k|, where (p_k, p_k)_z = zee(k) / prod_i
     (1 - z^{k_i}): an integer polynomial, since (z; z)_|k| / prod_i
     (z; z)_{k_i} is a q-multinomial coefficient."""
-    num = list(_q_factorial(sum(k)).num)
-    for part in k:
-        # divide by 1 - z^part as a power series, q_i = p_i + q_{i-part};
-        # the quotient is a polynomial iff its top part terms vanish
-        for i in range(part, len(num)):
-            num[i] += num[i - part]
-        assert not any(num[len(num) - part:]), k
-        del num[len(num) - part:]
-    return zee(k) * RationalFunction1(num)
+    return zee(k) * RationalFunction1(pdiv_one_minus(z_bracket(sum(k)).num,
+                                                     k))
 
 
 def hl_inner(f, g):
@@ -332,7 +325,7 @@ def hl_inner(f, g):
     sums = {}
     for k in fp.c.keys() & gp.c.keys():
         add_terms(sums, [(sum(k), fp.c[k] * gp.c[k] * _p_norm_numerator(k))])
-    return sum((num / _q_factorial(d) for d, num in sums.items()), RF0)
+    return sum((num / z_bracket(d) for d, num in sums.items()), RF0)
 
 
 # ---------------------------------------------------------------------------

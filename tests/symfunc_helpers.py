@@ -3,10 +3,12 @@ principal specialization as independent checks on the symmetric-function
 layer, the parameter specialization f|_{z = value} with the value of a
 rational function at a point, the degree of a symmetric function, a
 coefficient map of x-Laurent polynomials, `parse_symfunc`, three
-plethystic arguments for the vertex-operator identities, and the
-Hall-Littlewood inner product summed term by term (`hl_inner_by_terms`),
-as `hilbeuler.symfunc.hl_inner` computed it before it summed each degree
-over one common denominator."""
+plethystic arguments for the vertex-operator identities and the raising
+half `gamma_plus` on any argument (Jing's operator takes it on -1/x only,
+as `hilbeuler.hall_littlewood.lowering_half`), and the Hall-Littlewood
+inner product summed term by term (`hl_inner_by_terms`), as
+`hilbeuler.symfunc.hl_inner` computed it before it summed each degree over
+one common denominator."""
 
 from fractions import Fraction
 
@@ -14,11 +16,49 @@ from hilbeuler.fexpr import parse, to_symfunc
 from hilbeuler.partitions import zee
 from hilbeuler.ratfunc import RF0, RF1, RationalFunction1
 from hilbeuler.symfunc import SymFunc, to_p
-from hilbeuler.xlaurent import XLaurent
+from hilbeuler.xlaurent import XLaurent, add_terms
 
 ARG_ONE = ((0, RF1),)
 ARG_X_ONE_MINUS_Z = ((1, RationalFunction1((1, -1))),)  # x*(1-z)
 ARG_INV_ONE_MINUS_Z = ((0, RF1 / RationalFunction1((1, -1))),)  # (1-z)^{-1}
+
+
+def subs_power(r, k):
+    """The RationalFunction1 r with z -> z^k substituted."""
+    def spread(p):
+        out = [0] * ((len(p) - 1) * k + 1)
+        out[::k] = p
+        return out
+
+    return RationalFunction1(spread(r.num), spread(r.den))
+
+
+def adams(arg, k):
+    """Evaluation of every symbol of a plethystic argument at its k-th
+    power. An argument is a finite formal sum of monomials x^e * c(z),
+    stored as a tuple of (x-exponent, coefficient) pairs, and x -> x^k,
+    z -> z^k in every monomial."""
+    return tuple((e * k, subs_power(coef, k)) for e, coef in arg)
+
+
+def gamma_plus(arg, f):
+    """The ring homomorphism p_k -> p_k + A_k, graded by x-degree."""
+    fp = to_p(f)
+    out = {}
+    for lam, cf in fp.c.items():
+        # states: (x-degree, kept parts tuple) -> coefficient
+        states = {(0, ()): cf}
+        for part in lam:
+            nxt = {}
+            ak = adams(arg, part)
+            for (xd, kept), coef in states.items():
+                add_terms(nxt, [((xd, kept + (part,)), coef)]
+                          + [((xd + e, kept), coef * c) for e, c in ak])
+            states = nxt
+        for (xd, kept), coef in states.items():
+            add_terms(out.setdefault(xd, SymFunc("p")).c,
+                      [(tuple(sorted(kept, reverse=True)), coef)])
+    return {xd: g for xd, g in out.items() if g}
 
 
 def parse_symfunc(text):

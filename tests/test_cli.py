@@ -222,6 +222,41 @@ def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch):
         assert err == "error: memory: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("chi", "--f", "p[13]", "--n", "2", "--max-deg", "1", "--method", method)
+    for method in ("theorem", "localization", "constant-term", "all")] + [
+    ("hl", "inner", "--f", "p[13]", "--g", "p[13]"),
+    ("hl", "inner", "--f", "p[13]", "--g", "p[13]", "--n", "2"),
+    ("hl", "jing", "--k", "1", "--apply", "p[13]-p[13]")])
+def test_a_p_atom_past_the_degree_bound_is_refused(capsys, argv):
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: guard: degree 13 exceeds the configured bound 12\n")
+
+
+def test_hall_littlewood_commands_take_no_polynomial_gcd():
+    # P_lam divides Q_lam's numerators exactly by b_lam and Jing's operator
+    # keeps polynomial coefficients, so none of these commands meets a true
+    # fraction; a fresh process starts with every cache empty
+    argvs = [["chi", "--f", "P[3,2,1]+Q[2,2]", "--n", "3", "--max-deg", "3",
+              "--method", "all"],
+             ["hl", "poly", "--lambda", "3,2,1"],
+             ["hl", "jing", "--k", "2", "--apply", "P[2,1]"],
+             ["verify", "cauchy", "--max-size", "5"]]
+    out, _ = _fresh_python(
+        "import contextlib, io\n"
+        "from hilbeuler import cli, ratfunc\n"
+        "calls = []\n"
+        "def pgcd(*args, inner=ratfunc.pgcd):\n"
+        "    calls.append(args)\n"
+        "    return inner(*args)\n"
+        "ratfunc.pgcd = pgcd\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print(len(calls))\n" % argvs)
+    assert out == "0\n" * len(argvs)
+
+
 def test_chi_constant_term_guard_names_no_cli_option(capsys):
     # force=True exists only in the API, so the message must not offer it
     # as something to pass on the command line

@@ -4,11 +4,11 @@ from itertools import combinations
 import pytest
 
 import pieri_by_tuples as pieri_oracle
-from hilbeuler.hall_littlewood import (LemmaCheck, adams, b_norm,
-                                       b_norm_finite, expand_in_P,
-                                       gamma_plus, gaussian_binomial, hl_P,
+from hilbeuler.hall_littlewood import (LemmaCheck, b_norm, b_norm_finite,
+                                       expand_in_P, gaussian_binomial, hl_P,
                                        hl_Q, hl_q_row, jing_J, k_exponent,
-                                       pieri_e, psi, verify_lemma, z_bracket,
+                                       lowering_half, pieri_e, psi,
+                                       verify_lemma, z_bracket,
                                        z_multinomial)
 from hilbeuler.partitions import (as_partition, conjugate, contains,
                                   partitions_of, partitions_up_to, zee)
@@ -17,7 +17,7 @@ from hilbeuler.series import unpack
 from hilbeuler.symfunc import (DEGREE_BOUND, SymFunc, _merge, convert,
                                hl_inner, multiply, to_p)
 from symfunc_helpers import (ARG_INV_ONE_MINUS_Z, ARG_ONE, ARG_X_ONE_MINUS_Z,
-                             subs_z)
+                             adams, gamma_plus, parse_symfunc, subs_z)
 
 ONE_MINUS_Z = RationalFunction1((1, -1))
 HALF = RationalFunction1.const(Fraction(1, 2))
@@ -47,6 +47,13 @@ def test_jing_equals_gram_schmidt():
         for lam in partitions_of(d):
             assert to_p(hl_Q(lam)) == oracle[lam].scale(b_norm(lam)), lam
             assert to_p(hl_P(lam)) == oracle[lam], lam
+
+
+def test_P_is_Q_divided_by_b_norm():
+    # hl_P divides each numerator exactly; the oracle divides as
+    # rational functions, taking a polynomial gcd per coefficient
+    for lam in partitions_up_to(8):
+        assert hl_P(lam).c == hl_Q(lam).scale(RF1 / b_norm(lam)).c, lam
 
 
 def test_q_at_z0_is_schur():
@@ -186,6 +193,16 @@ def test_commutation_relation():
             la = lhs.c.get(key, RF0).expand(order)
             ra = rhs.c.get(key, RF0).expand(order)
             assert la == ra, key
+
+
+def test_lowering_half_is_gamma_plus_at_minus_one_over_x():
+    # repeated parts, z-dependent coefficients, and terms that cancel
+    arg = ((-1, RationalFunction1((-1,))),)
+    for text in ("1", "p[1]", "p[3,3,3,1,1]", "p[2,2,2,2]-p[4,2,2]",
+                 "P[3,2,2,1]", "Q[2,2,1,1]+P[4,2]", "s[2,1,1]*P[1,1]"):
+        f = parse_symfunc(text)
+        got = {-r: g.c for r, g in lowering_half(f).items() if g}
+        assert got == {xd: g.c for xd, g in gamma_plus(arg, f).items()}, text
 
 
 # ---------------------------------------------------------------------------

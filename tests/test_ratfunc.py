@@ -6,9 +6,9 @@ from math import gcd, lcm
 import pytest
 
 from hilbeuler.ratfunc import (RF0, RF1, RationalFunction1, padd, pdegree,
-                               pdivmod, pgcd, pis_zero, pmul, pneg,
-                               poly_str, ptrim, rf_str)
-from symfunc_helpers import rf_eval
+                               pdiv_one_minus, pdivmod, pgcd, pis_zero, pmul,
+                               pmul_one_minus, pneg, poly_str, ptrim, rf_str)
+from symfunc_helpers import rf_eval, subs_power
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,23 @@ def test_expand():
 
 def test_subs_power():
     r = RF1 / RationalFunction1((1, -1))
-    assert r.subs_power(2) == RF1 / RationalFunction1((1, 0, -1))
+    assert subs_power(r, 2) == RF1 / RationalFunction1((1, 0, -1))
+
+
+def test_division_by_one_minus_z_powers_is_exact_or_refused():
+    rng = random.Random(5)
+    for _ in range(200):
+        p = ptrim([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
+        ks = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        want = p
+        for k in ks:
+            want = pmul(want, (1,) + (0,) * (k - 1) + (-1,))
+        assert pmul_one_minus(p, ks) == want
+        assert pdiv_one_minus(want, ks) == p
+    for p, ks in (((1,), (1,)), ((1, 1), (1,)), ((1, 0, -1), (1, 3)),
+                  ((2, -2), (2,))):
+        with pytest.raises(ValueError, match="not divisible"):
+            pdiv_one_minus(p, ks)
 
 
 def test_pgcd():
